@@ -295,16 +295,52 @@ def is_generating(sg: FiniteSemigroup, subset) -> bool:
     return closure_bits(sg.rows, _coerce_bits(sg, subset)) == (1 << sg.m) - 1
 
 
+def independent_bits(rows: list[list[int]], bits: int) -> bool:
+    """True iff no member of ``bits`` lies in the closure of the other members.
+
+    The leave-one-out closures share their work. The member list is split
+    into halves L and R; the closed set of everything outside the current
+    range is extended by R, the members of L are tested against it, and the
+    recursion continues into L; then the same with the halves swapped.
+    Rollback truncates the shared member list, as in ``upper_rank_search``.
+    Each member is finally tested against the exact closure of all the
+    others, and a member caught earlier, in the closure of only some of
+    them, is dependent too. k members cost about k * ceil(log2 k) calls to
+    ``extend_closure`` instead of k full closures.
+    """
+    gens = list(iter_bits(bits))
+    elems: list[int] = []
+
+    def rec(lo: int, hi: int, closed: int) -> bool:
+        # closed: closure of the members outside gens[lo:hi]; it holds none of them
+        if hi - lo < 2:
+            return True
+        mid = (lo + hi) // 2
+        mark = len(elems)
+        for keep_lo, keep_hi, add_lo, add_hi in ((lo, mid, mid, hi), (mid, hi, lo, mid)):
+            ext = closed
+            for i in range(add_lo, add_hi):
+                ext = extend_closure(rows, ext, elems, gens[i])
+            for i in range(keep_lo, keep_hi):
+                if ext >> gens[i] & 1:
+                    return False
+            if not rec(keep_lo, keep_hi, ext):
+                return False
+            del elems[mark:]
+        return True
+
+    return rec(0, len(gens), 0)
+
+
 def is_independent(sg: FiniteSemigroup, subset) -> bool:
-    """True iff no member lies in the subsemigroup generated by the others."""
+    """True iff no member lies in the subsemigroup generated by the others.
+
+    See ``independent_bits`` for the shared leave-one-out closure.
+    """
     bits = _coerce_bits(sg, subset)
     if bits == 0:
         raise InvalidParameterError("independence is defined for nonempty subsets")
-    rows = sg.rows
-    for a in iter_bits(bits):
-        if closure_bits(rows, bits & ~(1 << a)) >> a & 1:
-            return False
-    return True
+    return independent_bits(sg.rows, bits)
 
 
 # --- structural predicates ---------------------------------------------------

@@ -42,10 +42,19 @@ RANK_KEYS = ("r1", "r2", "r3", "r4", "r5")
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Wall-clock and node limits for the exhaustive searches."""
+    """Wall-clock and node limits for the exhaustive searches.
+
+    The clock is read at every search node, so a search stops at the first
+    node after its deadline; it then re-checks its best witness. Work before
+    the first node (a seed check, for one) cannot be cut short. The stated
+    margin is OVERSHOOT_MARGIN_S past ``seconds``; a 1 s r4 search at n = 3
+    or n = 4 returns about 0.02 s late on a 2-vCPU VM.
+    """
 
     seconds: float = 60.0
     node_limit: int = 100_000_000
+
+    OVERSHOOT_MARGIN_S = 1.0
 
     def __post_init__(self):
         if self.seconds <= 0 or self.node_limit <= 0:
@@ -55,28 +64,20 @@ class SearchBudget:
 class _Clock:
     """Budget tracker; ``spend`` returns False once the budget is gone."""
 
-    __slots__ = ("deadline", "nodes_left", "_tick", "ok")
-    CHECK_EVERY = 4096
+    __slots__ = ("deadline", "nodes_left", "ok")
 
     def __init__(self, budget: SearchBudget):
         self.deadline = time.monotonic() + budget.seconds
         self.nodes_left = budget.node_limit
-        self._tick = self.CHECK_EVERY
         self.ok = True
 
     def spend(self) -> bool:
         if not self.ok:
             return False
         self.nodes_left -= 1
-        if self.nodes_left < 0:
+        if self.nodes_left < 0 or time.monotonic() > self.deadline:
             self.ok = False
             return False
-        self._tick -= 1
-        if self._tick <= 0:
-            self._tick = self.CHECK_EVERY
-            if time.monotonic() > self.deadline:
-                self.ok = False
-                return False
         return True
 
 
@@ -326,10 +327,9 @@ def _small_rank_bruteforce(sg: FiniteSemigroup, budget: SearchBudget | None) -> 
             bits = 0
             for i in combo:
                 bits |= 1 << i
-            for a in combo:
-                if closure_bits(rows, bits & ~(1 << a)) >> a & 1:
-                    return RankValue(value=k - 1, provenance=PROV_SEARCH,
-                                     detail=f"dependent {k}-subset found")
+            if not engine.independent_bits(rows, bits):
+                return RankValue(value=k - 1, provenance=PROV_SEARCH,
+                                 detail=f"dependent {k}-subset found")
     return RankValue(value=m, provenance=PROV_SEARCH, detail="every subset is independent")
 
 

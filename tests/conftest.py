@@ -32,3 +32,8 @@ def ab2():
 @pytest.fixture(scope="session")
 def ab3():
     return a_plus_semigroup(3)
+
+
+@pytest.fixture(scope="session")
+def ab4():
+    return a_plus_semigroup(4)

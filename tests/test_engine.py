@@ -167,14 +167,105 @@ def test_dependent_pair(ab2):
     assert not is_independent(ab2, [0, ab2.index_of("xi(1,2)")])
 
 
-def test_singletons_always_independent(ab2):
-    for i in range(ab2.m):
-        assert is_independent(ab2, [i])
+def test_singletons_always_independent(ab2, ab3):
+    for sg in (ab2, ab3):
+        for i in range(sg.m):
+            assert is_independent(sg, [i])
 
 
 def test_independent_rejects_empty(ab2):
     with pytest.raises(InvalidParameterError):
         is_independent(ab2, [])
+    with pytest.raises(InvalidParameterError):
+        is_independent(ab2, IndexSet(ab2.m))
+
+
+def _independent_oracle(sg, subset):
+    """The per-member definition: one full closure of the others per member."""
+    bits = engine._coerce_bits(sg, subset)
+    return all(
+        not closure_bits(sg.rows, bits & ~(1 << a)) >> a & 1 for a in engine.iter_bits(bits)
+    )
+
+
+def _witness_plus_extras(n, m):
+    """Subsets of the independent witness I plus a few arbitrary elements.
+
+    Random subsets of A+(B_n) are nearly always dependent; starting from I
+    gives the kernel independent sets to accept as well.
+    """
+    witness = sorted(construct_witness(n, "I"))
+    return st.tuples(
+        st.lists(st.sampled_from(witness), min_size=1, unique=True),
+        st.sets(st.integers(0, m - 1), max_size=2),
+    ).map(lambda t: set(t[0]) | t[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sets(st.integers(0, 28), min_size=1), _witness_plus_extras(2, 29)))
+def test_independence_matches_per_member_oracle_b2(ab2, xs):
+    assert is_independent(ab2, xs) == _independent_oracle(ab2, xs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.sets(st.integers(0, 144), min_size=1, max_size=40), _witness_plus_extras(3, 145)
+    )
+)
+def test_independence_matches_per_member_oracle_b3(ab3, xs):
+    assert is_independent(ab3, xs) == _independent_oracle(ab3, xs)
+
+
+def _single_product_semigroup(m, a, b, d, z):
+    """a + b = d and every other sum is z: all triple sums are z, so associative.
+
+    Among the members [0, m) minus z, d is the only dependent one, and only
+    a and b together generate it.
+    """
+    table = [[z] * m for _ in range(m)]
+    table[a][b] = d
+    return FiniteSemigroup([f"x{i}" for i in range(m)], table)
+
+
+@pytest.mark.parametrize(
+    "a, b, d, z",
+    [
+        (3, 7, 0, 8),  # d first; a and b in different halves
+        (1, 6, 7, 8),  # d last
+        (1, 2, 4, 8),  # d alone in a half: [0,1,2,3 | 4,5,6,7] -> [4,5] -> [4]
+        (0, 1, 2, 8),  # a, b and d all in the first half
+        (7, 0, 3, 8),  # a after b, d in the middle
+        (2, 5, 1, 0),  # z first, so the members start at 1
+    ],
+)
+def test_independence_single_dependent_member(a, b, d, z):
+    m = 9
+    sg = _single_product_semigroup(m, a, b, d, z)
+    members = [i for i in range(m) if i != z]
+    assert not is_independent(sg, members)
+    assert not _independent_oracle(sg, members)
+    rest = [i for i in members if i != d]
+    assert is_independent(sg, rest) and _independent_oracle(sg, rest)
+    # without a or without b, d is no longer generated
+    for drop in (a, b):
+        others = [i for i in members if i != drop]
+        assert is_independent(sg, others) and _independent_oracle(sg, others)
+
+
+def test_independence_only_dependent_member_at_each_position():
+    # zero-sum semigroup: x + y = z for all x, y, so z is the only dependent
+    # member of any set holding z and one other element, wherever z sorts
+    m = 8
+    for z in range(m):
+        sg = FiniteSemigroup([f"x{i}" for i in range(m)], [[z] * m for _ in range(m)])
+        for size in range(2, m + 1):
+            for members in itertools.combinations(range(m), size):
+                if z not in members:
+                    continue
+                assert not is_independent(sg, members)
+                rest = [i for i in members if i != z]
+                assert is_independent(sg, rest)
 
 
 def _independence_table(sg, max_size):

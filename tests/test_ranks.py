@@ -286,6 +286,12 @@ def test_intermediate_rank_n3(ab3):
     assert rv.provenance == PROV_WITNESS
 
 
+def test_intermediate_rank_n4(ab4):
+    rv = intermediate_rank_verify(4, sg=ab4)
+    assert rv.value == 102
+    assert rv.provenance == PROV_WITNESS
+
+
 def test_intermediate_rank_bruteforce_b1(ab1):
     assert intermediate_rank_bruteforce(ab1, BIG).value == 3
 
@@ -356,6 +362,22 @@ def test_upper_rank_rejects_bad_seed(ab2):
 def test_i_witness_independent(ab2, ab3):
     assert engine.is_independent(ab2, construct_witness(2, "I"))
     assert engine.is_independent(ab3, construct_witness(3, "I"))
+
+
+def test_i_witness_independent_n4(ab4):
+    # the construction behind the reported lower bound r4 >= 388 at n = 4
+    w = construct_witness(4, "I")
+    assert len(w) == factorial(4) * 16 + 4
+    assert engine.is_independent(ab4, w)
+
+
+def test_upper_rank_search_keeps_budget(ab3):
+    # the clock is read at every node, so the search stops within the
+    # margin stated on SearchBudget
+    budget = SearchBudget(seconds=0.5)
+    rv = upper_rank_search(ab3, budget, seed=construct_witness(3, "I"))
+    assert not rv.exact and rv.lower >= 57
+    assert rv.elapsed_ms <= (budget.seconds + SearchBudget.OVERSHOOT_MARGIN_S) * 1000.0
 
 
 # --- r5 -------------------------------------------------------------------------
