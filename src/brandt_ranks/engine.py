@@ -159,6 +159,7 @@ class FiniteSemigroup:
         self.n = n
         self.elements = tuple(elements) if elements is not None else None
         self._rows: list[list[int]] | None = None
+        self._cols: list[list[int]] | None = None
 
     @property
     def m(self) -> int:
@@ -170,6 +171,17 @@ class FiniteSemigroup:
         if self._rows is None:
             self._rows = self.table.tolist()
         return self._rows
+
+    @property
+    def cols(self) -> list[list[int]]:
+        """The transposed table as lists, ``cols[b][a] = a + b``; cached.
+
+        Built from ``rows`` so that both share their int objects (at n = 4,
+        ``table.T.tolist()`` would box another 431k ints).
+        """
+        if self._cols is None:
+            self._cols = [list(c) for c in zip(*self.rows)]
+        return self._cols
 
     @classmethod
     def from_elements(
@@ -232,12 +244,30 @@ class FiniteSemigroup:
 # --- closure and generation ------------------------------------------------
 
 
-def extend_closure(rows: list[list[int]], bits: int, elems: list[int], x: int) -> int:
+# Below this many members a popped element's products are scanned member by
+# member; from it on they are read by C-level ``map`` into a set, whose
+# set-up costs more than it saves on small sets. Swept with perfbench/run.py
+# (2-vCPU Xeon VM, times at nominal speed, two 15 s runs per value):
+#   threshold                 8      16      24      32      48   never
+#   verify-n2 wall_s (s)   2.12    1.83    1.80    1.79    1.81    1.80
+#   search-r4-n3 nodes/s  3.09k   3.09k   3.01k   3.10k   2.83k   1.87k
+# 16 to 32 are alike within the noise; 24 sits in the middle of that range.
+SCAN_SET_MIN = 24
+
+
+def extend_closure(
+    rows: list[list[int]], cols: list[list[int]], bits: int, elems: list[int], x: int
+) -> int:
     """Absorb element ``x`` into a closed set given as (bits, member list).
 
     ``elems`` must list exactly the members of ``bits`` and is mutated by
     appending the newly reachable elements; the updated bitmask is returned.
     Callers that need rollback truncate ``elems`` back to its prior length.
+    ``cols`` is the transposed table (``FiniteSemigroup.cols``).
+
+    Each popped element a is combined with every member b present at that
+    time, as a + b and b + a. A new element is appended before it is popped,
+    so each pair is formed when the later of its two elements is popped.
     """
     if bits >> x & 1:
         return bits
@@ -249,14 +279,24 @@ def extend_closure(rows: list[list[int]], bits: int, elems: list[int], x: int) -
     add = elems.append
     while stack:
         a = pop()
+        if len(elems) >= SCAN_SET_MIN:
+            found = set(map(rows[a].__getitem__, elems))
+            found.update(map(cols[a].__getitem__, elems))
+            for c in found:
+                if not bits >> c & 1:
+                    bits |= 1 << c
+                    add(c)
+                    push(c)
+            continue
         ra = rows[a]
+        ca = cols[a]
         for b in elems:
             c = ra[b]
             if not bits >> c & 1:
                 bits |= 1 << c
                 add(c)
                 push(c)
-            c = rows[b][a]
+            c = ca[b]
             if not bits >> c & 1:
                 bits |= 1 << c
                 add(c)
@@ -264,12 +304,12 @@ def extend_closure(rows: list[list[int]], bits: int, elems: list[int], x: int) -
     return bits
 
 
-def closure_bits(rows: list[list[int]], seed_bits: int) -> int:
+def closure_bits(rows: list[list[int]], cols: list[list[int]], seed_bits: int) -> int:
     """Bitmask of the subsemigroup generated by ``seed_bits`` (empty -> empty)."""
     bits = 0
     elems: list[int] = []
     for x in iter_bits(seed_bits):
-        bits = extend_closure(rows, bits, elems, x)
+        bits = extend_closure(rows, cols, bits, elems, x)
     return bits
 
 
@@ -288,14 +328,14 @@ def _coerce_bits(sg: FiniteSemigroup, subset) -> int:
 
 def closure(sg: FiniteSemigroup, subset) -> IndexSet:
     """Least superset of ``subset`` closed under the table; empty stays empty."""
-    return IndexSet.from_bits(sg.m, closure_bits(sg.rows, _coerce_bits(sg, subset)))
+    return IndexSet.from_bits(sg.m, closure_bits(sg.rows, sg.cols, _coerce_bits(sg, subset)))
 
 
 def is_generating(sg: FiniteSemigroup, subset) -> bool:
-    return closure_bits(sg.rows, _coerce_bits(sg, subset)) == (1 << sg.m) - 1
+    return closure_bits(sg.rows, sg.cols, _coerce_bits(sg, subset)) == (1 << sg.m) - 1
 
 
-def independent_bits(rows: list[list[int]], bits: int) -> bool:
+def independent_bits(rows: list[list[int]], cols: list[list[int]], bits: int) -> bool:
     """True iff no member of ``bits`` lies in the closure of the other members.
 
     The leave-one-out closures share their work. The member list is split
@@ -320,7 +360,7 @@ def independent_bits(rows: list[list[int]], bits: int) -> bool:
         for keep_lo, keep_hi, add_lo, add_hi in ((lo, mid, mid, hi), (mid, hi, lo, mid)):
             ext = closed
             for i in range(add_lo, add_hi):
-                ext = extend_closure(rows, ext, elems, gens[i])
+                ext = extend_closure(rows, cols, ext, elems, gens[i])
             for i in range(keep_lo, keep_hi):
                 if ext >> gens[i] & 1:
                     return False
@@ -340,7 +380,7 @@ def is_independent(sg: FiniteSemigroup, subset) -> bool:
     bits = _coerce_bits(sg, subset)
     if bits == 0:
         raise InvalidParameterError("independence is defined for nonempty subsets")
-    return independent_bits(sg.rows, bits)
+    return independent_bits(sg.rows, sg.cols, bits)
 
 
 # --- structural predicates ---------------------------------------------------
@@ -349,28 +389,19 @@ def is_independent(sg: FiniteSemigroup, subset) -> bool:
 def greens_classes(sg: FiniteSemigroup, side: Literal["R", "L"]) -> list[list[int]]:
     """Partition of [0, m) by equality of principal one-sided ideals.
 
-    a R b iff {a} + aS equals {b} + bS as sets (monoid-completion semantics);
-    L mirrors with left products.
+    a R b iff {a} + aS equals {b} + bS as sets (monoid-completion semantics),
+    read from the rows of the table; L mirrors with left products, read from
+    its columns.
     """
     if side not in ("R", "L"):
         raise InvalidParameterError("side must be 'R' or 'L'")
-    rows = sg.rows
-    m = sg.m
+    lines = sg.rows if side == "R" else sg.cols
     sigs: dict[int, list[int]] = {}
-    if side == "R":
-        for a in range(m):
-            bits = 1 << a
-            for c in rows[a]:
-                bits |= 1 << c
-            sigs.setdefault(bits, []).append(a)
-    else:
-        cols: list[int] = [1 << a for a in range(m)]
-        for b in range(m):
-            row = rows[b]
-            for a in range(m):
-                cols[a] |= 1 << row[a]
-        for a in range(m):
-            sigs.setdefault(cols[a], []).append(a)
+    for a in range(sg.m):
+        bits = 1 << a
+        for c in lines[a]:
+            bits |= 1 << c
+        sigs.setdefault(bits, []).append(a)
     return sorted(sigs.values())
 
 

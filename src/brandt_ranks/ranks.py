@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from math import comb, factorial
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import engine
 from .affine import (
     Const,
@@ -315,7 +317,7 @@ def small_rank(sg: FiniteSemigroup, budget: SearchBudget | None = None) -> RankV
 
 def _small_rank_bruteforce(sg: FiniteSemigroup, budget: SearchBudget | None) -> RankValue:
     clock = _Clock(budget or SearchBudget())
-    rows = sg.rows
+    rows, cols = sg.rows, sg.cols
     m = sg.m
     # singletons are always independent (nothing generates from the empty
     # set), so the scan starts at pairs and the first failing level ends it
@@ -327,7 +329,7 @@ def _small_rank_bruteforce(sg: FiniteSemigroup, budget: SearchBudget | None) -> 
             bits = 0
             for i in combo:
                 bits |= 1 << i
-            if not engine.independent_bits(rows, bits):
+            if not engine.independent_bits(rows, cols, bits):
                 return RankValue(value=k - 1, provenance=PROV_SEARCH,
                                  detail=f"dependent {k}-subset found")
     return RankValue(value=m, provenance=PROV_SEARCH, detail="every subset is independent")
@@ -363,7 +365,12 @@ def first_factor_lower_bound(sg: FiniteSemigroup) -> tuple[int, list[int]]:
 
 
 def _sweep_generating_subsets(
-    rows: list[list[int]], m: int, k: int, clock: _Clock, stop_at_first: bool
+    rows: list[list[int]],
+    cols: list[list[int]],
+    m: int,
+    k: int,
+    clock: _Clock,
+    stop_at_first: bool,
 ) -> tuple[bool, list[tuple[int, ...]]]:
     """DFS over ascending-index subsets of size <= k with incremental closure.
 
@@ -381,7 +388,7 @@ def _sweep_generating_subsets(
             if not clock.spend():
                 return False
             mark = len(elems)
-            nb = extend_closure(rows, bits, elems, i)
+            nb = extend_closure(rows, cols, bits, elems, i)
             chosen.append(i)
             if len(elems) == full:
                 found.append(tuple(chosen))
@@ -422,7 +429,7 @@ def lower_rank_exact(
     """
     start = time.monotonic()
     clock = _Clock(budget or SearchBudget())
-    rows = sg.rows
+    rows, cols = sg.rows, sg.cols
     m = sg.m
     lb, _family = first_factor_lower_bound(sg)
     lb = max(lb, 1)
@@ -430,12 +437,12 @@ def lower_rank_exact(
     wit: tuple[int, ...] | None = None
     if witness is not None:
         bits = engine._coerce_bits(sg, witness)
-        if closure_bits(rows, bits) != (1 << m) - 1:
+        if closure_bits(rows, cols, bits) != (1 << m) - 1:
             raise WitnessVerificationError("provided witness does not generate")
         wit = tuple(iter_bits(bits))
 
     def done(value: int, w: tuple[int, ...], prov: str, detail: str = "") -> RankValue:
-        if closure_bits(rows, sum(1 << i for i in w)) != (1 << m) - 1:
+        if closure_bits(rows, cols, sum(1 << i for i in w)) != (1 << m) - 1:
             raise WitnessVerificationError("minimum generating witness failed re-check")
         return _finish(
             RankValue(value=value, provenance=prov, witness=w,
@@ -458,7 +465,9 @@ def lower_rank_exact(
                               detail=f"sweep of {k}-subsets exceeds node budget"),
                     start,
                 )
-            completed, found = _sweep_generating_subsets(rows, m, k, clock, stop_at_first=True)
+            completed, found = _sweep_generating_subsets(
+                rows, cols, m, k, clock, stop_at_first=True
+            )
             if found:
                 wit = found[0]  # smaller generating set; tighten and repeat
                 continue
@@ -482,7 +491,7 @@ def lower_rank_exact(
                           detail=f"sweep of {k}-subsets exceeds node budget"),
                 start,
             )
-        completed, found = _sweep_generating_subsets(rows, m, k, clock, stop_at_first=True)
+        completed, found = _sweep_generating_subsets(rows, cols, m, k, clock, stop_at_first=True)
         if found:
             return done(len(found[0]), found[0], PROV_SEARCH)
         if not completed:
@@ -499,7 +508,7 @@ def generating_subset_sweep(
 ) -> tuple[bool, list[tuple[int, ...]]]:
     """Exhaustively list subsets of size <= k that generate (see module tests)."""
     clock = _Clock(budget or SearchBudget())
-    return _sweep_generating_subsets(sg.rows, sg.m, k, clock, stop_at_first=False)
+    return _sweep_generating_subsets(sg.rows, sg.cols, sg.m, k, clock, stop_at_first=False)
 
 
 # --- r3: intermediate rank -------------------------------------------------------
@@ -602,11 +611,11 @@ def upper_rank_search(
     """
     start = time.monotonic()
     clock = _Clock(budget or SearchBudget())
-    rows = sg.rows
+    rows, cols = sg.rows, sg.cols
     m = sg.m
     full_mask = (1 << m) - 1
 
-    cyc = [closure_bits(rows, 1 << i) for i in range(m)]
+    cyc = [closure_bits(rows, cols, 1 << i) for i in range(m)]
     comp: list[int] = []
     for i in range(m):
         mask = 0
@@ -673,7 +682,7 @@ def upper_rank_search(
             new_minus: list[int] = []
             ok = True
             for r in range(len(chosen)):
-                nb = extend_closure(rows, minus_bits[r], minus_elems[r], x)
+                nb = extend_closure(rows, cols, minus_bits[r], minus_elems[r], x)
                 new_minus.append(nb)
                 if nb >> chosen[r] & 1:
                     ok = False
@@ -685,7 +694,7 @@ def upper_rank_search(
                 minus_bits.append(state["all_bits"])
                 minus_elems.append(all_elems[:])
                 saved_all = (state["all_bits"], len(all_elems))
-                state["all_bits"] = extend_closure(rows, state["all_bits"], all_elems, x)
+                state["all_bits"] = extend_closure(rows, cols, state["all_bits"], all_elems, x)
                 chosen.append(x)
                 chosen_bits |= 1 << x
                 rec(cand & comp[x] & ~state["all_bits"])
@@ -725,13 +734,17 @@ def upper_rank_search(
 # --- r5: large rank ---------------------------------------------------------------
 
 
-def _pairs_into(rows: list[list[int]], m: int) -> list[list[tuple[int, int]]]:
-    out: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for a in range(m):
-        row = rows[a]
-        for b in range(m):
-            out[row[b]].append((a, b))
-    return out
+def _pairs_into(table: np.ndarray) -> list[list[int]]:
+    """For each u, the flat positions p = a*m + b with a + b = u, ascending.
+
+    A stable sort of the flattened table keeps each u's pairs in (a, b)
+    order; flat positions cost one int per pair where (a, b) tuples cost a
+    tuple and two ints (431k pairs at n = 4).
+    """
+    flat = table.ravel()
+    order = np.argsort(flat, kind="stable")
+    cuts = np.searchsorted(flat[order], np.arange(1, table.shape[0]))
+    return [part.tolist() for part in np.split(order, cuts)]
 
 
 def smallest_prime_subset(sg: FiniteSemigroup, size_cap: int) -> tuple[int, ...] | None:
@@ -742,7 +755,6 @@ def smallest_prime_subset(sg: FiniteSemigroup, size_cap: int) -> tuple[int, ...]
     member, so branching on the two factors of a violated decomposition
     enumerates all minimal candidates.
     """
-    rows = sg.rows
     m = sg.m
     if m == 1:
         return None
@@ -751,13 +763,14 @@ def smallest_prime_subset(sg: FiniteSemigroup, size_cap: int) -> tuple[int, ...]
         return (next(iter(ind)),)
     if size_cap < 2:
         return None
-    pairs = _pairs_into(rows, m)
+    pairs = _pairs_into(sg.table)
 
     best: list[tuple[int, ...]] = []
 
     def violated(bits: int) -> tuple[int, int] | None:
         for u in iter_bits(bits):
-            for a, b in pairs[u]:
+            for p in pairs[u]:
+                a, b = divmod(p, m)
                 if not bits >> a & 1 and not bits >> b & 1:
                     return a, b
         return None
@@ -812,7 +825,8 @@ def large_rank_exact(sg: FiniteSemigroup, size_cap: int | None = None) -> RankVa
     for i in prime:
         prime_bits |= 1 << i
     complement = tuple(i for i in range(m) if not prime_bits >> i & 1)
-    if closure_bits(sg.rows, sum(1 << i for i in complement)) != sum(1 << i for i in complement):
+    complement_bits = sum(1 << i for i in complement)
+    if closure_bits(sg.rows, sg.cols, complement_bits) != complement_bits:
         raise WitnessVerificationError("complement of prime subset is not a subsemigroup")
     return _finish(
         RankValue(value=m - len(prime) + 1, provenance=PROV_SEARCH, witness=complement,

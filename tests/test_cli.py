@@ -1,5 +1,18 @@
+"""CLI tests; the golden-file test compares whole outputs with ``tests/golden/``.
+
+Each golden file holds one command line, its exit code and its JSON output
+with every ``elapsed_ms`` removed. The budgets are far above what the
+commands need, so node limits and exhaustion alone decide the results. To
+refresh the files after an intended change of output, run
+``PYTHONPATH=src python tests/test_cli.py``.
+"""
+
+import contextlib
+import io
 import json
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,3 +152,39 @@ def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("BRANDT_RANKS_BUDGET", "0.0001")
     code, out, _ = invoke(capsys, "search-r4", "--n", "3")
     assert code == EXIT_BUDGET
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_BUDGET = ("--budget", "600")
+GOLDEN_CASES = {
+    **{f"verify-n{n}": ("verify", "--n", str(n), *GOLDEN_BUDGET) for n in (1, 2, 3)},
+    "search-r4-n2": ("search-r4", "--n", "2", *GOLDEN_BUDGET),
+    "search-r4-n3-2000": ("search-r4", "--n", "3", *GOLDEN_BUDGET, "--node-limit", "2000"),
+    **{
+        f"rank-{which}-n{n}": ("rank", "--n", str(n), "--which", which, *GOLDEN_BUDGET)
+        for which in ("r1", "r2", "r3", "r5")
+        for n in (1, 2, 3)
+    },
+}
+
+
+def _golden_capture(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = run([*argv, "--format", "json"])
+    return {"argv": list(argv), "rc": rc, "output": _strip_elapsed(json.loads(out.getvalue()))}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_cli_output_matches_golden(name):
+    expected = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert expected["argv"] == list(GOLDEN_CASES[name])
+    assert _golden_capture(GOLDEN_CASES[name]) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in sorted(GOLDEN_CASES.items()):
+        doc = _golden_capture(argv)
+        (GOLDEN / f"{name}.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        print(f"{name}: rc {doc['rc']}", file=sys.stderr)

@@ -13,6 +13,7 @@ from brandt_ranks.engine import (
     closure,
     closure_bits,
     export_table,
+    extend_closure,
     greens_classes,
     import_table,
     indecomposables,
@@ -155,6 +156,110 @@ def test_closure_is_idempotent_and_contains_seed(ab2, xs):
     assert closure(ab2, c) == c
 
 
+def _extend_closure_oracle(rows, bits, elems, x):
+    """The per-member loop: both products of each popped element with every member."""
+    if bits >> x & 1:
+        return bits
+    bits |= 1 << x
+    elems.append(x)
+    stack = [x]
+    while stack:
+        a = stack.pop()
+        for b in elems:
+            for c in (rows[a][b], rows[b][a]):
+                if not bits >> c & 1:
+                    bits |= 1 << c
+                    elems.append(c)
+                    stack.append(c)
+    return bits
+
+
+def _oracle_closure(sg, seed):
+    bits, elems = 0, []
+    for x in seed:
+        bits = _extend_closure_oracle(sg.rows, bits, elems, x)
+    return bits
+
+
+def _check_extend(sg, bits, elems, x):
+    """Extend (bits, elems) by x with the kernel, check it, and return the result."""
+    prior = elems[:]
+    got = extend_closure(sg.rows, sg.cols, bits, elems, x)
+    assert got == _extend_closure_oracle(sg.rows, bits, prior[:], x)
+    assert elems[: len(prior)] == prior  # truncating restores the prior state
+    assert sorted(elems) == list(engine.iter_bits(got))  # each member exactly once
+    return got
+
+
+def test_cols_share_the_ints_of_rows(ab3, ab4):
+    for sg in (ab3, ab4):
+        rows, cols = sg.rows, sg.cols
+        assert all(cols[a][b] is rows[b][a] for a in range(sg.m) for b in range(sg.m))
+
+
+@pytest.mark.parametrize("n, kinds", [(2, ("S", "I")), (3, ("S", "T"))])
+def test_extend_closure_matches_oracle_on_both_sides_of_the_scan_threshold(n, kinds, request):
+    sg = request.getfixturevalue(f"ab{n}")
+    starts = [_oracle_closure(sg, construct_witness(n, kind)) for kind in kinds]
+    sizes = [bits.bit_count() for bits in starts]
+    assert min(sizes) < engine.SCAN_SET_MIN <= max(sizes) < sg.m
+    for bits in starts:
+        for x in range(sg.m):
+            _check_extend(sg, bits, list(engine.iter_bits(bits)), x)
+
+
+def _extensions(n, m, max_seed):
+    """A seed, then extension steps (element, whether to roll the step back).
+
+    Random elements mostly generate closed sets below SCAN_SET_MIN; seeds
+    drawn from the independent witness I reach both sides of it.
+    """
+    seed = st.one_of(
+        st.lists(st.integers(0, m - 1), max_size=3),
+        st.lists(st.sampled_from(sorted(construct_witness(n, "I"))), max_size=max_seed),
+    )
+    return st.tuples(
+        seed,
+        st.lists(st.tuples(st.integers(0, m - 1), st.booleans()), min_size=1, max_size=6),
+    )
+
+
+def _run_extensions(sg, seed, steps):
+    bits, elems = 0, []
+    for x in seed:
+        bits = _check_extend(sg, bits, elems, x)
+    for x, roll_back in steps:
+        mark, before = len(elems), bits
+        bits = _check_extend(sg, bits, elems, x)
+        if roll_back:
+            del elems[mark:]
+            bits = before
+
+
+@settings(max_examples=100, deadline=None)
+@given(_extensions(2, 29, 10))
+def test_extend_closure_matches_oracle_b2(ab2, case):
+    _run_extensions(ab2, *case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_extensions(3, 145, 30))
+def test_extend_closure_matches_oracle_b3(ab3, case):
+    _run_extensions(ab3, *case)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_extensions(4, 657, 30))
+def test_extend_closure_matches_oracle_on_sampled_b4_subsets(ab4, case):
+    _run_extensions(ab4, *case)
+
+
+def test_greens_l_classes_are_the_r_classes_of_the_opposite_semigroup(ab2, ab3):
+    for sg in (ab2, ab3):
+        opposite = FiniteSemigroup(sg.labels, sg.table.T)
+        assert greens_classes(sg, "L") == greens_classes(opposite, "R")
+
+
 # --- independence ---------------------------------------------------------------
 
 
@@ -184,7 +289,8 @@ def _independent_oracle(sg, subset):
     """The per-member definition: one full closure of the others per member."""
     bits = engine._coerce_bits(sg, subset)
     return all(
-        not closure_bits(sg.rows, bits & ~(1 << a)) >> a & 1 for a in engine.iter_bits(bits)
+        not closure_bits(sg.rows, sg.cols, bits & ~(1 << a)) >> a & 1
+        for a in engine.iter_bits(bits)
     )
 
 
@@ -270,7 +376,7 @@ def test_independence_only_dependent_member_at_each_position():
 
 def _independence_table(sg, max_size):
     """Memoized independence of every subset of size <= max_size."""
-    rows = sg.rows
+    rows, cols = sg.rows, sg.cols
     m = sg.m
     closure_memo = {0: 0}
     for size in range(1, max_size):
@@ -278,7 +384,7 @@ def _independence_table(sg, max_size):
             bits = 0
             for i in combo:
                 bits |= 1 << i
-            closure_memo[bits] = closure_bits(rows, bits)
+            closure_memo[bits] = closure_bits(rows, cols, bits)
     ind = {}
     for size in range(1, max_size + 1):
         for combo in itertools.combinations(range(m), size):

@@ -28,6 +28,7 @@ from brandt_ranks.ranks import (
     smallest_prime_subset,
     upper_rank_search,
 )
+from brandt_ranks.ranks import _pairs_into
 
 BIG = SearchBudget(seconds=600.0, node_limit=10**9)
 
@@ -210,7 +211,7 @@ def test_lower_rank_b2_matches_exhaustive_oracle(b2):
     oracle = None
     for k in range(1, b2.m + 1):
         for combo in itertools.combinations(range(b2.m), k):
-            if closure_bits(b2.rows, sum(1 << i for i in combo)) == (1 << b2.m) - 1:
+            if closure_bits(b2.rows, b2.cols, sum(1 << i for i in combo)) == (1 << b2.m) - 1:
                 oracle = (k, combo)
                 break
         if oracle:
@@ -410,6 +411,21 @@ def test_smallest_prime_subset_n3_matches_naive_scan(ab3):
     assert engine.is_prime_subset(ab3, found)
 
 
+def _pairs_into_reference(rows, m):
+    """The pair lists as (a, b) tuples, built by the row-major loop."""
+    out = [[] for _ in range(m)]
+    for a in range(m):
+        for b in range(m):
+            out[rows[a][b]].append((a, b))
+    return out
+
+
+def test_pairs_into_matches_reference_loop_in_order(ab2, ab3):
+    for sg in (ab2, ab3):
+        got = [[divmod(p, sg.m) for p in pairs] for pairs in _pairs_into(sg.table)]
+        assert got == _pairs_into_reference(sg.rows, sg.m)
+
+
 def test_large_rank_b2(b2):
     rv = large_rank_exact(b2)
     assert rv.value == 5  # B_2 has indecomposable elements
@@ -455,7 +471,7 @@ def test_chain_violation_detection():
 
 
 def _sub_semigroup(sg, seed_indices):
-    bits = closure_bits(sg.rows, sum(1 << i for i in seed_indices))
+    bits = closure_bits(sg.rows, sg.cols, sum(1 << i for i in seed_indices))
     idx = [i for i in range(sg.m) if bits >> i & 1]
     pos = {i: p for p, i in enumerate(idx)}
     table = [[pos[sg.rows[a][b]] for b in idx] for a in idx]
@@ -481,7 +497,7 @@ def test_searches_match_brute_force_on_random_subsemigroups(ab2):
         mingen = None
         for k in range(1, sub.m + 1):
             for combo in itertools.combinations(range(sub.m), k):
-                if closure_bits(sub.rows, sum(1 << i for i in combo)) == (1 << sub.m) - 1:
+                if closure_bits(sub.rows, sub.cols, sum(1 << i for i in combo)) == (1 << sub.m) - 1:
                     mingen = k
                     break
             if mingen:
