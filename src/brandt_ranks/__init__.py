@@ -35,6 +35,7 @@ from .ranks import (
     intermediate_rank_verify,
     large_rank_exact,
     lower_rank_exact,
+    plan_rank,
     rank_formulas,
     small_rank,
     upper_rank_search,

@@ -15,23 +15,10 @@ from math import factorial
 from pathlib import Path
 
 from . import engine
-from .affine import NSupport, a_plus_semigroup, a_plus_size, enumerate_a_plus
+from .affine import a_plus_semigroup, a_plus_size
 from .errors import InvalidParameterError
-from .ranks import (
-    RankReport,
-    SearchBudget,
-    a_plus_strata_caps,
-    construct_witness,
-    intermediate_rank_bruteforce,
-    intermediate_rank_verify,
-    kappa_upper_bound,
-    large_rank_exact,
-    lower_rank_exact,
-    rank_formulas,
-    small_rank,
-    upper_rank_search,
-)
-from .verify import verify_all
+from .ranks import RankReport, SearchBudget, plan_rank, rank_formulas
+from .verify import nsupport_r_class_count, verify_all
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -115,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search-r4", help="branch-and-bound for the maximum independent set")
     common(p, budget=True, fmt=("text", "json"))
-    p.add_argument("--strata-caps", action="store_true",
-                   help="tighten the bound with per-support-stratum caps")
 
     p = sub.add_parser("prime", help="find a smallest proper prime subset")
     common(p, fmt=("text", "json"))
@@ -155,10 +140,9 @@ def _cmd_count(args) -> int:
 def _cmd_greens(args) -> int:
     n = args.n
     sg = a_plus_semigroup(n)
-    elems = enumerate_a_plus(n)
     r_classes = engine.greens_classes(sg, "R")
     l_classes = engine.greens_classes(sg, "L")
-    nsup = sum(1 for c in r_classes if any(isinstance(elems[i], NSupport) for i in c))
+    nsup = nsupport_r_class_count(n, r_classes)
     expected = factorial(n) * n
     payload = {
         "n": n,
@@ -193,56 +177,28 @@ def _print_rank(report: RankReport, fmt: str, verbose: int = 0) -> None:
             print(f"  witness: {' '.join(rv.witness_labels)}")
 
 
-def _cmd_rank(args) -> int:
-    n = args.n
-    report = RankReport(n=n)
-    if args.which == "formulas":
-        report = rank_formulas(n)
-        _print_rank(report, args.format, args.verbose)
-        return EXIT_OK
+def _print_planned(args, key: str) -> int:
     budget = _budget(args)
-    sg = a_plus_semigroup(n)
-    if args.which == "r1":
-        rv = small_rank(sg, budget)
-    elif args.which == "r2":
-        witness = None
-        if n >= 2:
-            witness = construct_witness(n, "S") | construct_witness(n, "T")
-        rv = lower_rank_exact(sg, budget, witness=witness)
-    elif args.which == "r3":
-        rv = intermediate_rank_bruteforce(sg, budget) if n == 1 else intermediate_rank_verify(n, budget, sg=sg)
-    else:
-        rv = large_rank_exact(sg)
-    report.ranks[args.which] = rv
+    report = RankReport(n=args.n)
+    rv = report.ranks[key] = plan_rank(a_plus_semigroup(args.n), key, budget)
     _print_rank(report, args.format, args.verbose)
     return EXIT_OK if rv.exact else EXIT_BUDGET
+
+
+def _cmd_rank(args) -> int:
+    if args.which == "formulas":
+        _print_rank(rank_formulas(args.n), args.format, args.verbose)
+        return EXIT_OK
+    return _print_planned(args, args.which)
 
 
 def _cmd_search_r4(args) -> int:
-    n = args.n
-    budget = _budget(args)
-    sg = a_plus_semigroup(n)
-    caps = a_plus_strata_caps(n, sg) if args.strata_caps else None
-    seed = None
-    if n == 2:
-        seed = construct_witness(2, "P2")
-    elif n == 3:
-        seed = construct_witness(3, "I")
-    rv = upper_rank_search(sg, budget, strata_bounds=caps, seed=seed)
-    if not rv.exact and n >= 2:
-        formula_lower = 14 if n == 2 else factorial(n) * n * n + n
-        rv.bounds = (max(rv.bounds[0], formula_lower), min(rv.bounds[1], kappa_upper_bound(n)))
-        rv.detail = (rv.detail + "; merged with construction/cap bounds").lstrip("; ")
-    report = RankReport(n=n)
-    report.ranks["r4"] = rv
-    _print_rank(report, args.format, args.verbose)
-    return EXIT_OK if rv.exact else EXIT_BUDGET
+    return _print_planned(args, "r4")
 
 
 def _cmd_prime(args) -> int:
     n = args.n
-    sg = a_plus_semigroup(n)
-    rv = large_rank_exact(sg)
+    rv = plan_rank(a_plus_semigroup(n), "r5")
     if args.format == "json":
         print(json.dumps({"n": n, "r5": rv.to_json_dict()}, indent=2))
     else:

@@ -4,24 +4,21 @@ Rank computations return RankValue records carrying either an exact value
 or (lower, upper) bounds, a provenance tag, an optional witness, and the
 elapsed time. Budget exhaustion is a first-class bounds result, never an
 error. Every witness is re-verified against the Cayley table before it is
-returned.
+returned. ``plan_rank`` decides how each rank of A+(B_n) is obtained.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
 from math import comb, factorial
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import engine
 from .affine import (
     Const,
-    ConstZero,
     NSupport,
     Singleton,
     a_plus_semigroup,
@@ -278,24 +275,9 @@ def construct_witness(n: int, kind: str, q_subset=None) -> IndexSet:
     return out
 
 
-def a_plus_strata_caps(n: int, sg: FiniteSemigroup) -> list[tuple[IndexSet, int]]:
-    """Per-support-stratum caps valid for any independent subset.
-
-    Constants (the zero-constant included) are capped by the maximum
-    independent set size of the constant subsemigroup, floor(n^2/4) + n;
-    singleton maps by n^2 times that; n-support maps by their total count.
-    """
-    elems = enumerate_a_plus(n)
-    m = len(elems)
-    q = n * n // 4
-    const_idx = IndexSet(m, (i for i, e in enumerate(elems) if isinstance(e, (Const, ConstZero))))
-    sing_idx = IndexSet(m, (i for i, e in enumerate(elems) if isinstance(e, Singleton)))
-    nsup_idx = IndexSet(m, (i for i, e in enumerate(elems) if isinstance(e, NSupport)))
-    return [
-        (const_idx, q + n),
-        (sing_idx, n * n * (q + n)),
-        (nsup_idx, factorial(n) * n * n),
-    ]
+def generating_witness(n: int) -> IndexSet:
+    """S ∪ T: a generating set of size n(n! + 1), the closed-form r2."""
+    return construct_witness(n, "S") | construct_witness(n, "T")
 
 
 # --- r1: small rank -----------------------------------------------------------
@@ -598,16 +580,14 @@ def intermediate_rank_bruteforce(sg: FiniteSemigroup, budget: SearchBudget | Non
 def upper_rank_search(
     sg: FiniteSemigroup,
     budget: SearchBudget | None = None,
-    strata_bounds: Sequence[tuple[IndexSet, int]] | None = None,
     seed=None,
 ) -> RankValue:
     """Maximum independent set size by branch and bound over the hereditary system.
 
     Elements are branched in canonical index order, include before exclude.
     At each node the optimistic bound is |current| + |remaining compatible
-    candidates| (per-stratum caps, when given, only tighten this count and
-    never exclude candidates). ``seed`` may prime the incumbent with a known
-    independent set; it is verified first and only strengthens pruning.
+    candidates|. ``seed`` may prime the incumbent with a known independent
+    set; it is verified first and only strengthens pruning.
     """
     start = time.monotonic()
     clock = _Clock(budget or SearchBudget())
@@ -625,16 +605,6 @@ def upper_rank_search(
                 mask |= 1 << j
         comp.append(mask)
 
-    smasks: list[int] = []
-    scaps: list[int] = []
-    other_mask = full_mask
-    if strata_bounds:
-        for stratum, cap in strata_bounds:
-            b = engine._coerce_bits(sg, stratum)
-            smasks.append(b)
-            scaps.append(int(cap))
-            other_mask &= ~b
-
     best_size = 0
     best: tuple[int, ...] = ()
     if seed is not None:
@@ -644,33 +614,20 @@ def upper_rank_search(
         best_size = len(best)
 
     chosen: list[int] = []
-    chosen_bits = 0
     minus_bits: list[int] = []
     minus_elems: list[list[int]] = []
     all_elems: list[int] = []
     state = {"all_bits": 0, "complete": True}
 
-    def optimistic(cand: int) -> int:
-        base = len(chosen)
-        if not smasks:
-            return base + cand.bit_count()
-        total = base + (cand & other_mask).bit_count()
-        for mask, cap in zip(smasks, scaps):
-            room = cap - (chosen_bits & mask).bit_count()
-            if room > 0:
-                avail = (cand & mask).bit_count()
-                total += avail if avail < room else room
-        return total
-
     def rec(cand: int) -> None:
         # recursion only on include; exclude shrinks cand in place, so the
         # stack depth is bounded by the incumbent size rather than by m
-        nonlocal best_size, best, chosen_bits
+        nonlocal best_size, best
         if len(chosen) > best_size:
             best_size = len(chosen)
             best = tuple(chosen)
         while cand:
-            if optimistic(cand) <= best_size:
+            if len(chosen) + cand.bit_count() <= best_size:
                 return
             if not clock.spend():
                 state["complete"] = False
@@ -696,10 +653,8 @@ def upper_rank_search(
                 saved_all = (state["all_bits"], len(all_elems))
                 state["all_bits"] = extend_closure(rows, cols, state["all_bits"], all_elems, x)
                 chosen.append(x)
-                chosen_bits |= 1 << x
                 rec(cand & comp[x] & ~state["all_bits"])
                 chosen.pop()
-                chosen_bits &= ~(1 << x)
                 state["all_bits"] = saved_all[0]
                 del all_elems[saved_all[1]:]
                 minus_bits.pop()
@@ -720,11 +675,8 @@ def upper_rank_search(
                       witness_labels=labels),
             start,
         )
-    cap_upper = m if not smasks else (
-        sum(scaps) + (full_mask & other_mask).bit_count()
-    )
     return _finish(
-        RankValue(bounds=(best_size, min(m, cap_upper)), provenance=PROV_BOUNDS,
+        RankValue(bounds=(best_size, m), provenance=PROV_BOUNDS,
                   witness=best or None, witness_labels=labels,
                   detail="budget exhausted; best witness kept"),
         start,
@@ -834,3 +786,44 @@ def large_rank_exact(sg: FiniteSemigroup, size_cap: int | None = None) -> RankVa
                   detail=f"smallest prime subset {sg.label_list(prime)}"),
         start,
     )
+
+
+# --- the rank planner ---------------------------------------------------------------
+
+
+def plan_rank(sg: FiniteSemigroup, key: str, budget: SearchBudget | None = None) -> RankValue:
+    """Rank ``key`` (r1..r5) of A+(B_n), n = sg.n; every choice of method is made here.
+
+    r1 is the small-rank routine; r2 the exact sweep below the S ∪ T witness;
+    r3 brute force at n = 1 and the verified construction otherwise; r5 the
+    smallest prime subset. r4 is searched at n = 1 and is the closed form for
+    n >= 6. For 2 <= n <= 5 it is open: the branch and bound starts from the
+    largest known independent set (P2 at n = 2, I for n >= 3), so a bounds
+    result always carries a witness of its lower bound, and a search that
+    does not finish is merged with the ``rank_formulas`` bounds.
+    """
+    n = sg.n
+    if n is None:
+        raise InvalidParameterError("plan_rank needs a semigroup built by a_plus_semigroup")
+    if key == "r1":
+        return small_rank(sg, budget)
+    if key == "r2":
+        return lower_rank_exact(sg, budget, witness=generating_witness(n) if n >= 2 else None)
+    if key == "r3":
+        if n == 1:
+            return intermediate_rank_bruteforce(sg, budget)
+        return intermediate_rank_verify(n, budget, sg=sg)
+    if key == "r5":
+        return large_rank_exact(sg)
+    if key != "r4":
+        raise InvalidParameterError(f"unknown rank {key!r}; expected one of {RANK_KEYS}")
+    if n == 1:
+        return upper_rank_search(sg, budget)
+    formula = rank_formulas(n).ranks["r4"]
+    if formula.exact:
+        return formula
+    rv = upper_rank_search(sg, budget, seed=construct_witness(n, "P2" if n == 2 else "I"))
+    if not rv.exact:
+        rv.bounds = (max(rv.lower, formula.lower), min(rv.upper, formula.upper))
+        rv.detail = f"{rv.detail}; merged with construction/cap bounds"
+    return rv

@@ -11,6 +11,7 @@ pass/fail and its timing; any mismatch flips the report status.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from math import factorial
@@ -22,8 +23,6 @@ from .affine import (
     Const,
     ConstZero,
     NSupport,
-    RawMap,
-    Singleton,
     a_plus_semigroup,
     a_plus_size,
     affine_closure_oracle,
@@ -38,21 +37,14 @@ from .engine import FiniteSemigroup, IndexSet
 from .errors import WitnessVerificationError
 from .ranks import (
     PROV_BOUNDS,
-    PROV_SEARCH,
     RankReport,
     RankValue,
     SearchBudget,
     _small_rank_bruteforce,
-    a_plus_strata_caps,
     construct_witness,
-    intermediate_rank_bruteforce,
-    intermediate_rank_verify,
-    kappa_upper_bound,
-    large_rank_exact,
-    lower_rank_exact,
+    generating_witness,
+    plan_rank,
     rank_formulas,
-    small_rank,
-    upper_rank_search,
 )
 
 
@@ -122,13 +114,13 @@ def _require(cond: bool, msg: str) -> None:
         raise WitnessVerificationError(msg)
 
 
-def _greens_r_characterization(n: int, sg: FiniteSemigroup) -> str:
+def _greens_r_characterization(n: int, r_classes: list[list[int]]) -> str:
     """Generic R-partition vs equal supports plus equal first projections."""
     elems = enumerate_a_plus(n)
     nonzero = [i for i, e in enumerate(elems) if not isinstance(e, ConstZero)]
     generic = {
         frozenset(c)
-        for cls in engine.greens_classes(sg, "R")
+        for cls in r_classes
         if (c := [i for i in cls if not isinstance(elems[i], ConstZero)])
     }
     sigs: dict[tuple, list[int]] = {}
@@ -161,13 +153,14 @@ def _greens_l_constants(n: int, sg: FiniteSemigroup) -> str:
     return f"{len(sigs)} constant L-classes match"
 
 
-def _greens_nsupport_count(n: int, sg: FiniteSemigroup) -> str:
+def nsupport_r_class_count(n: int, r_classes: list[list[int]]) -> int:
+    """How many R-classes contain an n-support map; the paper's count is (n!)n."""
     elems = enumerate_a_plus(n)
-    count = sum(
-        1
-        for cls in engine.greens_classes(sg, "R")
-        if any(isinstance(elems[i], NSupport) for i in cls)
-    )
+    return sum(1 for cls in r_classes if any(isinstance(elems[i], NSupport) for i in cls))
+
+
+def _greens_nsupport_count(n: int, r_classes: list[list[int]]) -> str:
+    count = nsupport_r_class_count(n, r_classes)
     expected = factorial(n) * n
     _require(count == expected, f"n-support R-class count {count} != {expected}")
     return f"(n!)n = {expected} n-support R-classes"
@@ -237,9 +230,10 @@ def verify_all(n: int, budget: SearchBudget | None = None) -> VerificationReport
 
         runner.run("oracle-equivalence", check_oracle)
 
-    runner.run("greens-r-characterization", lambda: _greens_r_characterization(n, sg))
+    r_classes = functools.cache(lambda: engine.greens_classes(sg, "R"))
+    runner.run("greens-r-characterization", lambda: _greens_r_characterization(n, r_classes()))
     runner.run("greens-l-constants", lambda: _greens_l_constants(n, sg))
-    runner.run("greens-nsupport-classes", lambda: _greens_nsupport_count(n, sg))
+    runner.run("greens-nsupport-classes", lambda: _greens_nsupport_count(n, r_classes()))
 
     if n <= 4:
         runner.run("support-sum-bound", lambda: _support_sum_bound(n, sg))
@@ -258,7 +252,7 @@ def verify_all(n: int, budget: SearchBudget | None = None) -> VerificationReport
         runner.run("witness-S-generates-constants", check_s_generates_constants)
 
         def check_sut_generates() -> str:
-            w = construct_witness(n, "S") | construct_witness(n, "T")
+            w = generating_witness(n)
             _require(engine.is_generating(sg, w), "S union T fails to generate")
             _require(len(w) == n * (factorial(n) + 1), "S union T has the wrong size")
             return f"S union T generates with {len(w)} elements"
@@ -293,7 +287,7 @@ def verify_all(n: int, budget: SearchBudget | None = None) -> VerificationReport
         runner.run("witness-V-prime", check_v_prime)
 
     def check_r1() -> str:
-        rv = small_rank(sg, remaining())
+        rv = plan_rank(sg, "r1", remaining())
         ranks.ranks["r1"] = rv
         expected = formulas.ranks["r1"].value
         _require(rv.value == expected, f"r1 {rv.value} != {expected}")
@@ -306,10 +300,7 @@ def verify_all(n: int, budget: SearchBudget | None = None) -> VerificationReport
     runner.run("rank-r1", check_r1)
 
     def check_r2() -> str:
-        wit = None
-        if n >= 2:
-            wit = construct_witness(n, "S") | construct_witness(n, "T")
-        rv = lower_rank_exact(sg, remaining(), witness=wit)
+        rv = plan_rank(sg, "r2", remaining())
         ranks.ranks["r2"] = rv
         expected = formulas.ranks["r2"].value
         _require(rv.exact and rv.value == expected, f"r2 {rv.value or rv.bounds} != {expected}")
@@ -318,10 +309,7 @@ def verify_all(n: int, budget: SearchBudget | None = None) -> VerificationReport
     runner.run("rank-r2", check_r2)
 
     def check_r3() -> str:
-        if n == 1:
-            rv = intermediate_rank_bruteforce(sg, remaining())
-        else:
-            rv = intermediate_rank_verify(n, remaining(), sg=sg)
+        rv = plan_rank(sg, "r3", remaining())
         ranks.ranks["r3"] = rv
         expected = formulas.ranks["r3"].value
         _require(rv.exact and rv.value == expected, f"r3 {rv.value or rv.bounds} != {expected}")
@@ -330,7 +318,7 @@ def verify_all(n: int, budget: SearchBudget | None = None) -> VerificationReport
     runner.run("rank-r3", check_r3)
 
     def check_r5() -> str:
-        rv = large_rank_exact(sg)
+        rv = plan_rank(sg, "r5")
         ranks.ranks["r5"] = rv
         expected = formulas.ranks["r5"].value
         _require(rv.exact and rv.value == expected, f"r5 {rv.value or rv.bounds} != {expected}")
@@ -339,37 +327,24 @@ def verify_all(n: int, budget: SearchBudget | None = None) -> VerificationReport
     runner.run("rank-r5", check_r5)
 
     def check_r4() -> str:
-        if n == 1:
-            rv = upper_rank_search(sg, remaining())
-            ranks.ranks["r4"] = rv
-            _require(rv.exact and rv.value == 3, "r4 != 3 at n = 1")
-            return "r4 = 3"
-        lower = 14 if n == 2 else factorial(n) * n * n + n
-        upper = kappa_upper_bound(n)
-        if n >= 6:
-            ranks.ranks["r4"] = formulas.ranks["r4"]
-            return f"r4 = {formulas.ranks['r4'].value} (closed form)"
-        if n == 2:
-            seed = construct_witness(2, "P2")
-            rv = upper_rank_search(sg, remaining(), seed=seed)
-            if rv.exact:
-                ranks.ranks["r4"] = rv
-                _require(lower <= rv.value <= upper, f"r4 = {rv.value} outside [{lower}, {upper}]")
-                return f"r4 = {rv.value} (exact search; conjectured {lower})"
-            merged = RankValue(
-                bounds=(max(rv.lower, lower), min(rv.upper, upper)),
-                provenance=PROV_BOUNDS,
-                witness=rv.witness,
-                witness_labels=rv.witness_labels,
-                detail="search budget exhausted",
+        formula = formulas.ranks["r4"]
+        if 3 <= n <= 5:  # the open search is left to search-r4
+            ranks.ranks["r4"] = RankValue(
+                bounds=formula.bounds, provenance=PROV_BOUNDS,
+                detail="independent-set construction vs stratified cap",
             )
-            ranks.ranks["r4"] = merged
-            return f"r4 in [{merged.lower}, {merged.upper}] (budget exhausted)"
-        ranks.ranks["r4"] = RankValue(
-            bounds=(lower, upper), provenance=PROV_BOUNDS,
-            detail="independent-set construction vs stratified cap",
-        )
-        return f"r4 in [{lower}, {upper}]"
+            return f"r4 in [{formula.lower}, {formula.upper}]"
+        rv = plan_rank(sg, "r4", remaining())
+        ranks.ranks["r4"] = rv
+        if formula.exact:  # searched at n = 1, the closed form itself for n >= 6
+            _require(rv.exact and rv.value == formula.value,
+                     f"r4 {rv.value or rv.bounds} != {formula.value}")
+            return f"r4 = {rv.value}" + (" (closed form)" if n >= 6 else "")
+        if not rv.exact:
+            return f"r4 in [{rv.lower}, {rv.upper}] (budget exhausted)"
+        _require(formula.lower <= rv.value <= formula.upper,
+                 f"r4 = {rv.value} outside [{formula.lower}, {formula.upper}]")
+        return f"r4 = {rv.value} (exact search; conjectured {formula.lower})"
 
     runner.run("rank-r4", check_r4)
 

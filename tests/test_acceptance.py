@@ -28,7 +28,6 @@ from brandt_ranks.affine import (
 from brandt_ranks.engine import FiniteSemigroup, IndexSet, closure_bits, export_table, import_table
 from brandt_ranks.ranks import (
     SearchBudget,
-    a_plus_strata_caps,
     construct_witness,
     generating_subset_sweep,
     intermediate_rank_verify,
@@ -93,7 +92,7 @@ def test_criterion_3_greens(ab2, ab3):
             classes = engine.greens_classes(sg, "R")
             nsup = sum(1 for c in classes if any(isinstance(elems[i], NSupport) for i in c))
             assert nsup == expected == factorial(n) * n
-            _greens_r_characterization(n, sg)
+            _greens_r_characterization(n, classes)
             _greens_l_constants(n, sg)
     _report(3, t.elapsed < 30.0,
             f"(n!)n R-classes = 4, 18 and ideal/characterization partitions agree in {t.elapsed:.1f}s")
@@ -169,8 +168,6 @@ def test_criterion_7_upper_rank(ab2, ab3):
         rv = upper_rank_search(ab2, BIG, seed=p)
         assert rv.exact, "branch and bound must terminate"
         assert 14 <= rv.value <= 23
-        capped = upper_rank_search(ab2, BIG, strata_bounds=a_plus_strata_caps(2, ab2), seed=p)
-        assert capped.value == rv.value and capped.witness == rv.witness
         details.append(f"r4(A+(B_2)) = {rv.value} exactly (open case; conjectured 14)")
     assert t.elapsed < 1800.0
     _report(7, True, "; ".join(details) + f"; {t.elapsed:.1f}s")

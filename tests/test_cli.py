@@ -1,10 +1,11 @@
 """CLI tests; the golden-file test compares whole outputs with ``tests/golden/``.
 
-Each golden file holds one command line, its exit code and its JSON output
-with every ``elapsed_ms`` removed. The budgets are far above what the
-commands need, so node limits and exhaustion alone decide the results. To
-refresh the files after an intended change of output, run
-``PYTHONPATH=src python tests/test_cli.py``.
+Each golden file holds one command line, its exit code and its output: the
+JSON output with every ``elapsed_ms`` removed or, for the ``-text`` cases,
+the text output as a list of lines with every ``[N ms]`` timing masked. The
+budgets are far above what the commands need, so node limits and exhaustion
+alone decide the results. To refresh the files after an intended change of
+output, run ``PYTHONPATH=src python tests/test_cli.py``.
 """
 
 import contextlib
@@ -165,26 +166,41 @@ GOLDEN_CASES = {
         for which in ("r1", "r2", "r3", "r5")
         for n in (1, 2, 3)
     },
+    **{f"rank-formulas-n{n}": ("rank", "--n", str(n), "--which", "formulas") for n in (1, 2, 3)},
+    **{f"{cmd}-n{n}": (cmd, "--n", str(n)) for cmd in ("prime", "greens") for n in (2, 3)},
 }
+TEXT_SUFFIX = "-text"
+GOLDEN_CASES.update(
+    {
+        f"{name}{TEXT_SUFFIX}": argv
+        for name, argv in GOLDEN_CASES.items()
+        if name.startswith(("verify-", "rank-formulas-", "prime-", "greens-"))
+    }
+)
 
 
-def _golden_capture(argv):
+def _golden_capture(name, argv):
+    text = name.endswith(TEXT_SUFFIX)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        rc = run([*argv, "--format", "json"])
-    return {"argv": list(argv), "rc": rc, "output": _strip_elapsed(json.loads(out.getvalue()))}
+        rc = run([*argv, "--format", "text" if text else "json"])
+    if text:
+        output = re.sub(r"\[\d+ ms\]", "[N ms]", out.getvalue()).splitlines()
+    else:
+        output = _strip_elapsed(json.loads(out.getvalue()))
+    return {"argv": list(argv), "rc": rc, "output": output}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_cli_output_matches_golden(name):
     expected = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     assert expected["argv"] == list(GOLDEN_CASES[name])
-    assert _golden_capture(GOLDEN_CASES[name]) == expected
+    assert _golden_capture(name, GOLDEN_CASES[name]) == expected
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in sorted(GOLDEN_CASES.items()):
-        doc = _golden_capture(argv)
+        doc = _golden_capture(name, argv)
         (GOLDEN / f"{name}.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
         print(f"{name}: rc {doc['rc']}", file=sys.stderr)

@@ -1,4 +1,5 @@
 import itertools
+import types
 from math import factorial
 
 import pytest
@@ -14,7 +15,6 @@ from brandt_ranks.ranks import (
     RankReport,
     RankValue,
     SearchBudget,
-    a_plus_strata_caps,
     construct_witness,
     first_factor_lower_bound,
     generating_subset_sweep,
@@ -23,6 +23,7 @@ from brandt_ranks.ranks import (
     kappa_upper_bound,
     large_rank_exact,
     lower_rank_exact,
+    plan_rank,
     rank_formulas,
     small_rank,
     smallest_prime_subset,
@@ -381,6 +382,36 @@ def test_upper_rank_search_keeps_budget(ab3):
     assert rv.elapsed_ms <= (budget.seconds + SearchBudget.OVERSHOOT_MARGIN_S) * 1000.0
 
 
+def test_plan_rank_r4_n4_lower_bound_has_its_witness(ab4):
+    # the search starts from I, so the reported lower bound 388 is the size of
+    # the independent witness that comes with it
+    rv = plan_rank(ab4, "r4", SearchBudget(seconds=600, node_limit=20))
+    assert not rv.exact
+    assert len(rv.witness) == rv.lower == 388
+    assert rv.upper == kappa_upper_bound(4) == 520
+    assert engine.is_independent(ab4, rv.witness)
+    assert rv.detail == "budget exhausted; best witness kept; merged with construction/cap bounds"
+
+
+def test_plan_rank_r4_n2_merges_an_unfinished_search(ab2):
+    rv = plan_rank(ab2, "r4", SearchBudget(seconds=600, node_limit=50))
+    assert rv.bounds == (14, 23)
+    assert len(rv.witness) == 14 and engine.is_independent(ab2, rv.witness)
+
+
+def test_plan_rank_r4_closed_form_from_n6():
+    # n >= 6 reads the closed form and never touches the table
+    rv = plan_rank(types.SimpleNamespace(n=6), "r4")
+    assert rv.value == rank_formulas(6).ranks["r4"].value == 25926
+
+
+def test_plan_rank_rejects_unknown_key_and_foreign_tables(ab2):
+    with pytest.raises(InvalidParameterError):
+        plan_rank(ab2, "r6")
+    with pytest.raises(InvalidParameterError):
+        plan_rank(constants_semigroup(2), "r1")
+
+
 # --- r5 -------------------------------------------------------------------------
 
 
@@ -446,18 +477,6 @@ def test_large_rank_cap_bounds():
     rv = large_rank_exact(z4, size_cap=1)
     assert not rv.exact
     assert rv.bounds[1] == 3
-
-
-# --- strata caps ------------------------------------------------------------------
-
-
-def test_strata_caps_cover_all_elements(ab2):
-    caps = a_plus_strata_caps(2, ab2)
-    union = 0
-    for stratum, _cap in caps:
-        union |= stratum.bits
-    assert union == (1 << 29) - 1
-    assert [cap for _s, cap in caps] == [3, 12, 8]
 
 
 def test_chain_violation_detection():

@@ -1,11 +1,21 @@
+import dataclasses
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from brandt_ranks import engine
 from brandt_ranks.affine import a_plus_semigroup, enumerate_a_plus, support_size
 from brandt_ranks.errors import WitnessVerificationError
-from brandt_ranks.verify import _support_sum_bound
+from brandt_ranks.ranks import PROV_BOUNDS, RANK_KEYS, RankValue, SearchBudget, plan_rank, rank_formulas
+from brandt_ranks.verify import _support_sum_bound, verify_all
+
+ROOT = Path(__file__).resolve().parent.parent
+BIG = SearchBudget(seconds=600.0, node_limit=10**9)
 
 
 def _first_violation(n, table):
@@ -38,3 +48,48 @@ def test_support_sum_bound_reports_first_failing_pair():
         _support_sum_bound(2, types.SimpleNamespace(table=np.asarray(table)))
     assert str(err.value) == f"support bound fails for {f!r} + {g!r}"
     assert f == enumerate_a_plus(2)[4]
+
+
+def _untimed(rv):
+    return dataclasses.replace(rv, elapsed_ms=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_verify_reports_the_planned_ranks(n):
+    report = verify_all(n, BIG)
+    assert report.ok
+    sg = a_plus_semigroup(n)
+    for key in RANK_KEYS:
+        got = _untimed(report.ranks.ranks[key])
+        if key == "r4" and n == 3:
+            # verify leaves the open r4 search at 3 <= n <= 5 to search-r4
+            assert got == RankValue(
+                bounds=rank_formulas(3).ranks["r4"].bounds, provenance=PROV_BOUNDS,
+                detail="independent-set construction vs stratified cap",
+            )
+        else:
+            assert got == _untimed(plan_rank(sg, key, BIG)), key
+
+
+def test_verify_computes_the_r_classes_once(monkeypatch):
+    sides = []
+    greens_classes = engine.greens_classes
+
+    def counted(sg, side):
+        sides.append(side)
+        return greens_classes(sg, side)
+
+    monkeypatch.setattr(engine, "greens_classes", counted)
+    assert verify_all(1, BIG).ok
+    assert sides == ["R", "L"]
+
+
+def test_verify_small_cases_script_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "verify_small_cases.py"), "--max-n", "2"],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("overall: ok") == 2
