@@ -5,7 +5,6 @@ from .affine import (
     Const,
     ConstZero,
     NSupport,
-    RawMap,
     Singleton,
     a_plus_semigroup,
     a_plus_size,

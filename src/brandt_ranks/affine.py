@@ -4,10 +4,8 @@ Every element of the semigroup is one of four shapes: the zero-constant
 map, a nonzero constant map, a singleton-support map sending one pair to
 one pair, or an n-support map (p, q; sigma) sending (i, p) to (i sigma, q).
 Arguments are written on the left, so ``apply_map(n, f, x)`` is x f.
-
-RawMap carries a full value table in canonical B_n order and exists only
-for the brute-force oracles; the main engine works on canonical shapes so
-equality is field-wise.
+Equality of elements is field-wise; the brute-force oracles at the end work
+on plain value tables instead.
 """
 
 from __future__ import annotations
@@ -16,19 +14,18 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, TypeAlias
+from typing import TypeAlias
 
 from .brandt import (
     BnElement,
     bn_add,
     bn_elements,
     bn_index,
-    bn_label,
     check_n,
     validate_element,
 )
 from .engine import FiniteSemigroup
-from .errors import CapabilityError, InvalidParameterError, WitnessVerificationError
+from .errors import CapabilityError, InvalidParameterError
 
 Permutation: TypeAlias = "tuple[int, ...]"
 
@@ -64,14 +61,7 @@ class NSupport:
     sigma: Permutation
 
 
-@dataclass(frozen=True, slots=True)
-class RawMap:
-    """A full value table in canonical B_n order (oracle-only form)."""
-
-    table: tuple[BnElement, ...]
-
-
-AffineMapElement: TypeAlias = "ConstZero | Const | Singleton | NSupport | RawMap"
+AffineMapElement: TypeAlias = "ConstZero | Const | Singleton | NSupport"
 
 CONST_ZERO = ConstZero()
 
@@ -106,12 +96,6 @@ def validate_map(n: int, f: AffineMapElement) -> None:
         if sorted(f.sigma) != list(range(n)):
             raise InvalidParameterError(f"{f.sigma!r} is not a permutation of range({n})")
         return
-    if isinstance(f, RawMap):
-        if len(f.table) != n * n + 1:
-            raise InvalidParameterError("raw table length must be n*n + 1")
-        for v in f.table:
-            validate_element(n, v)
-        return
     raise InvalidParameterError(f"not an affine map element: {f!r}")
 
 
@@ -125,17 +109,13 @@ def apply_map(n: int, f: AffineMapElement, x: BnElement) -> BnElement:
         return f.c
     if isinstance(f, Singleton):
         return (f.p, f.q) if x == (f.k, f.l) else None
-    if isinstance(f, NSupport):
-        if x is not None and x[1] == f.p:
-            return (f.sigma[x[0]], f.q)
-        return None
-    return f.table[bn_index(n, x)]
+    if x is not None and x[1] == f.p:
+        return (f.sigma[x[0]], f.q)
+    return None
 
 
 def map_table(n: int, f: AffineMapElement) -> tuple[BnElement, ...]:
     """The full value table of ``f`` in canonical B_n order."""
-    if isinstance(f, RawMap):
-        return f.table
     if isinstance(f, ConstZero):
         return (None,) * (n * n + 1)
     if isinstance(f, Const):
@@ -157,22 +137,18 @@ def support(n: int, f: AffineMapElement) -> set[BnElement]:
         return set(bn_elements(n))
     if isinstance(f, Singleton):
         return {(f.k, f.l)}
-    if isinstance(f, NSupport):
-        return {(i, f.p) for i in range(n)}
-    return {x for x, v in zip(bn_elements(n), f.table) if v is not None}
+    return {(i, f.p) for i in range(n)}
 
 
 def support_size(n: int, f: AffineMapElement) -> int:
-    """|supp(f)|: canonical shapes give 0, n*n+1, 1 or n without a scan."""
+    """|supp(f)|: 0, n*n+1, 1 or n by shape."""
     if isinstance(f, ConstZero):
         return 0
     if isinstance(f, Const):
         return n * n + 1
     if isinstance(f, Singleton):
         return 1
-    if isinstance(f, NSupport):
-        return n
-    return sum(1 for v in f.table if v is not None)
+    return n
 
 
 def _canonical_fixup(n: int, f: AffineMapElement) -> AffineMapElement:
@@ -184,14 +160,10 @@ def _canonical_fixup(n: int, f: AffineMapElement) -> AffineMapElement:
 
 
 def add_maps(n: int, f: AffineMapElement, g: AffineMapElement) -> AffineMapElement:
-    """Pointwise sum of two maps.
+    """Pointwise sum of two maps, in canonical form.
 
-    Canonical inputs yield the canonical form of the sum (the semigroup is
-    closed over the four shapes); if either input is Raw, the sum is Raw.
+    The semigroup is closed over the four shapes, so the sum is one of them.
     """
-    if isinstance(f, RawMap) or isinstance(g, RawMap):
-        ta, tb = map_table(n, f), map_table(n, g)
-        return RawMap(tuple(bn_add(n, x, y) for x, y in zip(ta, tb)))
     return _canonical_fixup(n, _add_canonical(f, g))
 
 
@@ -225,75 +197,6 @@ def _add_canonical(f: AffineMapElement, g: AffineMapElement) -> AffineMapElement
             i0 = perm_inverse(tau)[q]
             return Singleton(i0, p, sigma[i0], q2)
     raise InvalidParameterError(f"cannot add {f!r} and {g!r}")
-
-
-def canonical_from_table(n: int, table: Iterable[BnElement]) -> AffineMapElement:
-    """Classify a full table as a canonical shape; RawMap if none fits."""
-    table = tuple(table)
-    m = n * n + 1
-    if len(table) != m:
-        raise InvalidParameterError("table length must be n*n + 1")
-    raw = RawMap(table)
-    supp = [x for x, v in zip(bn_elements(n), table) if v is not None]
-    if not supp:
-        return CONST_ZERO
-    if len(supp) == m:
-        first = table[0]
-        if all(v == first for v in table):
-            return Const(first)
-        return raw
-    if len(supp) == 1 and supp[0] is not None:
-        k, l = supp[0]
-        p, q = table[bn_index(n, supp[0])]
-        cand: AffineMapElement = Singleton(k, l, p, q)
-        return _canonical_fixup(n, cand) if map_table(n, cand) == table else raw
-    if len(supp) == n and None not in supp:
-        cols = {x[1] for x in supp}
-        if len(cols) == 1:
-            p = cols.pop()
-            values = [table[bn_index(n, (i, p))] for i in range(n)]
-            if None not in values:
-                images = [v[0] for v in values]
-                qs = {v[1] for v in values}
-                if len(qs) == 1 and sorted(images) == list(range(n)):
-                    cand = NSupport(p, qs.pop(), tuple(images))
-                    if map_table(n, cand) == table:
-                        return _canonical_fixup(n, cand)
-    return raw
-
-
-def phi_from_perm(n: int, sigma: Permutation) -> RawMap:
-    """The automorphism of B_n induced by ``sigma``: (i, j) -> (sigma i, sigma j).
-
-    It has support n*n, so for n >= 2 it is not itself an element of the
-    additive semigroup; it only feeds the decomposition oracles.
-    """
-    check_n(n)
-    if sorted(sigma) != list(range(n)):
-        raise InvalidParameterError(f"{sigma!r} is not a permutation of range({n})")
-    table: list[BnElement] = [None] * (n * n + 1)
-    for i in range(n):
-        for j in range(n):
-            table[bn_index(n, (i, j))] = (sigma[i], sigma[j])
-    return RawMap(tuple(table))
-
-
-def decompose_affine(
-    n: int, f: AffineMapElement
-) -> tuple[Permutation, tuple[int, int]] | None:
-    """Split an n-support map into automorphism plus constant.
-
-    (p, q; sigma) equals phi_sigma + xi_(sigma p, q) pointwise; the
-    recomposition is checked before returning. Other shapes return None.
-    """
-    validate_map(n, f)
-    if not isinstance(f, NSupport):
-        return None
-    c = (f.sigma[f.p], f.q)
-    recomposed = add_maps(n, phi_from_perm(n, f.sigma), RawMap(map_table(n, Const(c))))
-    if recomposed.table != map_table(n, f):
-        raise WitnessVerificationError("affine decomposition failed pointwise check")
-    return f.sigma, c
 
 
 def a_plus_size(n: int) -> int:
@@ -335,10 +238,8 @@ def map_label(f: AffineMapElement) -> str:
         return f"xi({f.c[0] + 1},{f.c[1] + 1})"
     if isinstance(f, Singleton):
         return f"s({f.k + 1},{f.l + 1}->{f.p + 1},{f.q + 1})"
-    if isinstance(f, NSupport):
-        images = ",".join(str(i + 1) for i in f.sigma)
-        return f"ns({f.p + 1},{f.q + 1};[{images}])"
-    return "raw(" + ";".join(bn_label(v) for v in f.table) + ")"
+    images = ",".join(str(i + 1) for i in f.sigma)
+    return f"ns({f.p + 1},{f.q + 1};[{images}])"
 
 
 @lru_cache(maxsize=4)
@@ -358,8 +259,8 @@ def a_plus_semigroup(n: int) -> FiniteSemigroup:
 _ORACLE_MAX_N = 2
 
 
-def endomorphisms_bruteforce(n: int) -> list[RawMap]:
-    """All additive endomorphisms of B_n, found by scanning every self-map.
+def endomorphisms_bruteforce(n: int) -> list[tuple[BnElement, ...]]:
+    """Value tables of all additive endomorphisms of B_n, by scanning every self-map.
 
     The search space is (n^2+1)^(n^2+1), so this is capped at n <= 2.
     """
@@ -385,15 +286,15 @@ def endomorphisms_bruteforce(n: int) -> list[RawMap]:
             if not ok:
                 break
         if ok:
-            out.append(RawMap(tuple(elems[k] for k in images)))
+            out.append(tuple(elems[k] for k in images))
     return out
 
 
-def affine_closure_oracle(n: int) -> set[RawMap]:
+def affine_closure_oracle(n: int) -> set[tuple[BnElement, ...]]:
     """Independent reconstruction of the semigroup from first principles.
 
     Forms every endomorphism-plus-constant sum, then closes the resulting
-    set of raw tables under pointwise addition. The closure works on full
+    set of value tables under pointwise addition. The closure works on full
     tables throughout and never assumes the four-shape classification.
     """
     check_n(n)
@@ -401,7 +302,7 @@ def affine_closure_oracle(n: int) -> set[RawMap]:
         raise CapabilityError(f"affine closure oracle is capped at n <= {_ORACLE_MAX_N}")
     elems = bn_elements(n)
     constants = [tuple([c] * len(elems)) for c in elems]
-    endos = [e.table for e in endomorphisms_bruteforce(n)]
+    endos = endomorphisms_bruteforce(n)
     aff = {
         tuple(bn_add(n, x, y) for x, y in zip(g, h)) for g in endos for h in constants
     }
@@ -415,4 +316,4 @@ def affine_closure_oracle(n: int) -> set[RawMap]:
                 if s not in members:
                     members.add(s)
                     worklist.append(s)
-    return {RawMap(t) for t in members}
+    return members

@@ -2,14 +2,13 @@
 
 Exit codes: 0 success / all verified, 1 verification mismatch, 2 invalid
 arguments, 3 budget exhausted (bounds emitted). The default search budget is
-60 seconds and 1e8 nodes; BRANDT_RANKS_BUDGET overrides the seconds default.
+60 seconds and 1e8 nodes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from math import factorial
 from pathlib import Path
@@ -27,7 +26,6 @@ EXIT_BUDGET = 3
 
 DEFAULT_BUDGET_SECONDS = 60.0
 DEFAULT_NODE_LIMIT = 100_000_000
-BUDGET_ENV_VAR = "BRANDT_RANKS_BUDGET"
 
 
 def _positive_int(text: str) -> int:
@@ -50,22 +48,8 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _default_seconds() -> float:
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        try:
-            value = float(env)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return DEFAULT_BUDGET_SECONDS
-
-
 def _budget(args) -> SearchBudget:
-    seconds = args.budget if args.budget is not None else _default_seconds()
-    nodes = getattr(args, "node_limit", None) or DEFAULT_NODE_LIMIT
-    return SearchBudget(seconds=seconds, node_limit=nodes)
+    return SearchBudget(seconds=args.budget, node_limit=args.node_limit)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,10 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, budget=False, fmt=None):
         p.add_argument("--n", type=_positive_int, required=True, metavar="N")
         if budget:
-            p.add_argument("--budget", type=_positive_float, default=None,
-                           metavar="SECONDS")
-            p.add_argument("--node-limit", type=_positive_int, default=None,
-                           metavar="NODES")
+            p.add_argument("--budget", type=_positive_float,
+                           default=DEFAULT_BUDGET_SECONDS, metavar="SECONDS")
+            p.add_argument("--node-limit", type=_positive_int,
+                           default=DEFAULT_NODE_LIMIT, metavar="NODES")
         if fmt:
             p.add_argument("--format", choices=fmt, default=fmt[0])
 

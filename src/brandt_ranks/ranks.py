@@ -347,24 +347,20 @@ def first_factor_lower_bound(sg: FiniteSemigroup) -> tuple[int, list[int]]:
 
 
 def _sweep_generating_subsets(
-    rows: list[list[int]],
-    cols: list[list[int]],
-    m: int,
-    k: int,
-    clock: _Clock,
-    stop_at_first: bool,
+    rows: list[list[int]], cols: list[list[int]], m: int, k: int, clock: _Clock
 ) -> tuple[bool, list[tuple[int, ...]]]:
     """DFS over ascending-index subsets of size <= k with incremental closure.
 
-    Records every visited prefix whose closure is the whole semigroup (so a
-    recorded tuple may be shorter than k). Returns (completed, found).
+    Stops at the first visited prefix whose closure is the whole semigroup
+    (so it may be shorter than k). Returns (completed, found), where found
+    holds that prefix or is empty.
     """
     found: list[tuple[int, ...]] = []
     elems: list[int] = []
     chosen: list[int] = []
-    full = m
 
     def rec(start: int, bits: int, depth: int) -> bool:
+        # False stops the sweep: a generating prefix was found or the budget ran out
         limit = m - (k - depth) + 1
         for i in range(start, limit):
             if not clock.spend():
@@ -372,23 +368,17 @@ def _sweep_generating_subsets(
             mark = len(elems)
             nb = extend_closure(rows, cols, bits, elems, i)
             chosen.append(i)
-            if len(elems) == full:
+            if len(elems) == m:
                 found.append(tuple(chosen))
-                if stop_at_first:
-                    chosen.pop()
-                    del elems[mark:]
-                    return False
-            elif depth + 1 < k:
-                if not rec(i + 1, nb, depth + 1):
-                    chosen.pop()
-                    del elems[mark:]
-                    return False
+                return False
+            if depth + 1 < k and not rec(i + 1, nb, depth + 1):
+                return False
             chosen.pop()
             del elems[mark:]
         return True
 
     completed = rec(0, 0, 0)
-    return completed or bool(found and stop_at_first), found
+    return completed or bool(found), found
 
 
 def _sweep_node_estimate(m: int, k: int) -> int:
@@ -447,9 +437,7 @@ def lower_rank_exact(
                               detail=f"sweep of {k}-subsets exceeds node budget"),
                     start,
                 )
-            completed, found = _sweep_generating_subsets(
-                rows, cols, m, k, clock, stop_at_first=True
-            )
+            completed, found = _sweep_generating_subsets(rows, cols, m, k, clock)
             if found:
                 wit = found[0]  # smaller generating set; tighten and repeat
                 continue
@@ -473,7 +461,7 @@ def lower_rank_exact(
                           detail=f"sweep of {k}-subsets exceeds node budget"),
                 start,
             )
-        completed, found = _sweep_generating_subsets(rows, cols, m, k, clock, stop_at_first=True)
+        completed, found = _sweep_generating_subsets(rows, cols, m, k, clock)
         if found:
             return done(len(found[0]), found[0], PROV_SEARCH)
         if not completed:
@@ -483,14 +471,6 @@ def lower_rank_exact(
                 start,
             )
     raise WitnessVerificationError("the full element set failed to generate itself")
-
-
-def generating_subset_sweep(
-    sg: FiniteSemigroup, k: int, budget: SearchBudget | None = None
-) -> tuple[bool, list[tuple[int, ...]]]:
-    """Exhaustively list subsets of size <= k that generate (see module tests)."""
-    clock = _Clock(budget or SearchBudget())
-    return _sweep_generating_subsets(sg.rows, sg.cols, sg.m, k, clock, stop_at_first=False)
 
 
 # --- r3: intermediate rank -------------------------------------------------------

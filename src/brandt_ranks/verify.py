@@ -223,9 +223,9 @@ def verify_all(n: int, budget: SearchBudget | None = None) -> VerificationReport
 
     if n <= 2:
         def check_oracle() -> str:
-            oracle = {r.table for r in affine_closure_oracle(n)}
             direct = {map_table(n, e) for e in elems}
-            _require(oracle == direct, "oracle reconstruction differs from enumeration")
+            _require(affine_closure_oracle(n) == direct,
+                     "oracle reconstruction differs from enumeration")
             return f"oracle closure of affine maps = the {len(direct)} enumerated maps"
 
         runner.run("oracle-equivalence", check_oracle)

@@ -1,7 +1,7 @@
 import pytest
 
 from brandt_ranks.affine import a_plus_semigroup
-from brandt_ranks.brandt import brandt_semigroup
+from brandt_ranks.brandt import bn_elements, brandt_semigroup
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +37,14 @@ def ab3():
 @pytest.fixture(scope="session")
 def ab4():
     return a_plus_semigroup(4)
+
+
+def _phi_table(n, sigma):
+    """Value table, in canonical B_n order, of the automorphism phi_sigma of
+    B_n: (i, j) goes to (sigma i, sigma j) and zero to zero."""
+    return tuple(None if x is None else (sigma[x[0]], sigma[x[1]]) for x in bn_elements(n))
+
+
+@pytest.fixture(scope="session")
+def phi_table():
+    return _phi_table

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,22 +5,17 @@ from hypothesis import strategies as st
 from brandt_ranks.affine import (
     CONST_ZERO,
     Const,
-    ConstZero,
     NSupport,
-    RawMap,
     Singleton,
     a_plus_size,
     add_maps,
     affine_closure_oracle,
     all_permutations,
     apply_map,
-    canonical_from_table,
-    decompose_affine,
     endomorphisms_bruteforce,
     enumerate_a_plus,
     map_label,
     map_table,
-    phi_from_perm,
     support_size,
 )
 from brandt_ranks.brandt import bn_add, bn_elements, bn_index
@@ -32,8 +25,12 @@ IDENT2 = (0, 1)
 SWAP2 = (1, 0)
 
 
+def table_sum(n, s, t):
+    return tuple(bn_add(n, x, y) for x, y in zip(s, t))
+
+
 def raw_sum(n, f, g):
-    return tuple(bn_add(n, x, y) for x, y in zip(map_table(n, f), map_table(n, g)))
+    return table_sum(n, map_table(n, f), map_table(n, g))
 
 
 # --- apply -----------------------------------------------------------------
@@ -81,13 +78,6 @@ def test_add_nsupport_plus_constant():
     out = add_maps(2, f, Const((0, 1)))
     assert out == NSupport(0, 1, IDENT2)
     assert map_table(2, out) == raw_sum(2, f, Const((0, 1)))
-
-
-def test_add_raw_stays_raw():
-    f = RawMap(map_table(2, Const((0, 1))))
-    out = add_maps(2, f, Const((1, 0)))
-    assert isinstance(out, RawMap)
-    assert out.table == map_table(2, Const((0, 0)))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -147,60 +137,69 @@ def test_support_sizes():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_support_size_matches_table_scan(n):
     for f in enumerate_a_plus(n):
-        raw = RawMap(map_table(n, f))
-        assert support_size(n, f) == support_size(n, raw)
+        assert support_size(n, f) == sum(v is not None for v in map_table(n, f))
 
 
 # --- automorphisms and decomposition ---------------------------------------------
 
 
-def test_phi_identity():
-    phi = phi_from_perm(2, IDENT2)
-    assert phi.table == tuple(bn_elements(2))
+def test_phi_identity(phi_table):
+    assert phi_table(2, IDENT2) == tuple(bn_elements(2))
 
 
-def test_phi_swap():
-    phi = phi_from_perm(2, SWAP2)
-    assert phi.table[bn_index(2, (0, 1))] == (1, 0)
+def test_phi_swap(phi_table):
+    assert phi_table(2, SWAP2)[bn_index(2, (0, 1))] == (1, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_phi_kills_zero_and_is_additive(n):
+def test_phi_kills_zero_and_is_additive(n, phi_table):
     elems = bn_elements(n)
     for sigma in all_permutations(n):
-        phi = dict(zip(elems, phi_from_perm(n, sigma).table))
+        phi = dict(zip(elems, phi_table(n, sigma)))
         assert phi[None] is None
         for a in elems:
             for b in elems:
                 assert phi[bn_add(n, a, b)] == bn_add(n, phi[a], phi[b])
 
 
-def test_decompose_affine_n2():
-    f = NSupport(0, 1, IDENT2)  # (1, 2; id)
-    sigma, c = decompose_affine(2, f)
-    assert sigma == IDENT2 and c == (0, 1)
+def phi_plus_const(n, sigma, c, phi_table):
+    """The pointwise sum phi_sigma + xi_c, as a value table."""
+    return table_sum(n, phi_table(n, sigma), map_table(n, Const(c)))
 
 
-def test_decompose_affine_non_nsupport():
-    assert decompose_affine(2, Const((0, 0))) is None
-    assert decompose_affine(2, CONST_ZERO) is None
+def test_decompose_affine_n2(phi_table):
+    f = NSupport(0, 1, IDENT2)  # (1, 2; id) = phi_id + xi_(1,2)
+    assert map_table(2, f) == phi_plus_const(2, IDENT2, (0, 1), phi_table)
 
 
-def test_decompose_affine_n3_cycle():
-    # (2, 3; sigma) with sigma the 3-cycle gives (sigma, (3, 3)), 1-based
+def test_decompose_affine_non_nsupport(phi_table):
+    # every phi_sigma + xi_c is an n-support map, so no other shape decomposes
+    sums = {
+        phi_plus_const(2, sigma, c, phi_table)
+        for sigma in all_permutations(2)
+        for c in bn_elements(2)
+        if c is not None
+    }
+    assert map_table(2, Const((0, 0))) not in sums
+    assert map_table(2, CONST_ZERO) not in sums
+    shapes = {type(f) for f in enumerate_a_plus(2) if map_table(2, f) in sums}
+    assert shapes == {NSupport}
+
+
+def test_decompose_affine_n3_cycle(phi_table):
+    # (2, 3; sigma) with sigma the 3-cycle is phi_sigma + xi_(3,3), 1-based
     sigma = (1, 2, 0)
     f = NSupport(1, 2, sigma)
-    got_sigma, c = decompose_affine(3, f)
-    assert got_sigma == sigma and c == (2, 2)
+    assert map_table(3, f) == phi_plus_const(3, sigma, (2, 2), phi_table)
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_decompose_affine_recomposes_everywhere(n):
+def test_decompose_affine_recomposes_everywhere(n, phi_table):
+    # (p, q; sigma) = phi_sigma + xi_(sigma p, q), pointwise
     for f in enumerate_a_plus(n):
         if isinstance(f, NSupport):
-            sigma, c = decompose_affine(n, f)
-            recomposed = add_maps(n, phi_from_perm(n, sigma), RawMap(map_table(n, Const(c))))
-            assert recomposed.table == map_table(n, f)
+            c = (f.sigma[f.p], f.q)
+            assert map_table(n, f) == phi_plus_const(n, f.sigma, c, phi_table)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -250,13 +249,6 @@ def test_canonical_equality_iff_table_equality(n):
     elems = enumerate_a_plus(n)
     tables = [map_table(n, f) for f in elems]
     assert len(set(tables)) == len(elems)
-    for f, t in zip(elems, tables):
-        assert canonical_from_table(n, t) == f
-
-
-def test_canonical_from_table_leaves_odd_maps_raw():
-    phi = phi_from_perm(2, SWAP2)  # support 4: not one of the four shapes
-    assert isinstance(canonical_from_table(2, phi.table), RawMap)
 
 
 def test_labels():
@@ -270,19 +262,19 @@ def test_labels():
 
 
 def test_endomorphisms_n1():
-    endos = {e.table for e in endomorphisms_bruteforce(1)}
+    endos = set(endomorphisms_bruteforce(1))
     assert tuple(bn_elements(1)) in endos  # the identity map
     assert (None, None) in endos  # everything to zero
 
 
-def test_endomorphisms_n2_frozen():
-    endos = {e.table for e in endomorphisms_bruteforce(2)}
+def test_endomorphisms_n2_frozen(phi_table):
+    endos = set(endomorphisms_bruteforce(2))
     expected = {
         map_table(2, CONST_ZERO),
         map_table(2, Const((0, 0))),
         map_table(2, Const((1, 1))),
-        phi_from_perm(2, IDENT2).table,
-        phi_from_perm(2, SWAP2).table,
+        phi_table(2, IDENT2),
+        phi_table(2, SWAP2),
     }
     assert endos == expected
 
@@ -291,9 +283,9 @@ def test_endomorphism_zero_image_is_idempotent():
     # zero + zero = zero forces the image of zero to be idempotent; the
     # constant maps onto (1,1) and (2,2) show it need not be zero itself.
     for e in endomorphisms_bruteforce(2):
-        z = e.table[0]
+        z = e[0]
         assert bn_add(2, z, z) == z
-    assert any(e.table[0] is not None for e in endomorphisms_bruteforce(2))
+    assert any(e[0] is not None for e in endomorphisms_bruteforce(2))
 
 
 def test_oracles_capability_error():
@@ -305,16 +297,14 @@ def test_oracles_capability_error():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_affine_closure_oracle_matches_enumeration(n):
-    oracle = {r.table for r in affine_closure_oracle(n)}
-    assert oracle == {map_table(n, f) for f in enumerate_a_plus(n)}
+    assert affine_closure_oracle(n) == {map_table(n, f) for f in enumerate_a_plus(n)}
 
 
 def test_affine_closure_oracle_support_profile():
+    shape = {map_table(2, f): type(f).__name__ for f in enumerate_a_plus(2)}
     profile = {}
-    for r in affine_closure_oracle(2):
-        profile.setdefault(support_size(2, r), set()).add(
-            type(canonical_from_table(2, r.table)).__name__
-        )
+    for t in affine_closure_oracle(2):
+        profile.setdefault(sum(v is not None for v in t), set()).add(shape[t])
     assert profile == {
         0: {"ConstZero"},
         1: {"Singleton"},

@@ -2,14 +2,7 @@ import itertools
 
 import pytest
 
-from brandt_ranks.brandt import (
-    ZERO,
-    bn_add,
-    bn_elements,
-    bn_index,
-    bn_label,
-    brandt_semigroup,
-)
+from brandt_ranks.brandt import bn_add, bn_elements, bn_index, bn_label
 from brandt_ranks.errors import InvalidParameterError
 
 

@@ -19,7 +19,6 @@ import pytest
 
 from brandt_ranks.cli import (
     EXIT_BUDGET,
-    EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
     run,
@@ -147,12 +146,6 @@ def test_verify_json_deterministic_apart_from_timings(capsys):
     _, first, _ = invoke(capsys, "verify", "--n", "1", "--format", "json")
     _, second, _ = invoke(capsys, "verify", "--n", "1", "--format", "json")
     assert _strip_elapsed(json.loads(first)) == _strip_elapsed(json.loads(second))
-
-
-def test_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("BRANDT_RANKS_BUDGET", "0.0001")
-    code, out, _ = invoke(capsys, "search-r4", "--n", "3")
-    assert code == EXIT_BUDGET
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -1,12 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brandt_ranks import engine
 from brandt_ranks.affine import NSupport, enumerate_a_plus
-from brandt_ranks.brandt import bn_add, bn_elements
 from brandt_ranks.engine import (
     FiniteSemigroup,
     IndexSet,
@@ -100,7 +100,8 @@ def test_table_entry_range_checked():
 
 
 def test_sampled_associativity_path():
-    # left-zero semigroup above the exhaustive-check limit: a + b = a
+    # left-zero semigroup a + b = a, larger than the 256 elements up to which
+    # the table used to be checked in full; here every element is a generator
     m = 300
     table = [[a] * m for a in range(m)]
     sg = FiniteSemigroup([f"x{i}" for i in range(m)], table)
@@ -108,6 +109,89 @@ def test_sampled_associativity_path():
     table[5][7] = 9  # break associativity off the diagonal structure
     with pytest.raises(TableValidationError):
         FiniteSemigroup([f"x{i}" for i in range(m)], table)
+
+
+def _one_bad_triple_table(m, a, b, c, d, e, z):
+    """a + b = d, d + c = e, every other sum z; with d, e, z distinct and not
+    among a, b, c, the triple (a, b, c) is the only one that breaks
+    associativity: (a + b) + c = e but a + (b + c) = z."""
+    table = [[z] * m for _ in range(m)]
+    table[a][b] = d
+    table[d][c] = e
+    return table
+
+
+def _violations(table):
+    """Every triple (x, y, w) with (x + y) + w != x + (y + w), by brute force."""
+    t = np.asarray(table)
+    out = []
+    for x in range(len(t)):
+        bad = t[t[x]] != t[x][t]  # [y, w]: (x + y) + w against x + (y + w)
+        out.extend((x, int(y), int(w)) for y, w in np.argwhere(bad))
+    return out
+
+
+def test_single_bad_triple_rejected_above_256():
+    m, (a, b, c, d, e, z) = 300, (17, 123, 250, 40, 299, 0)
+    table = _one_bad_triple_table(m, a, b, c, d, e, z)
+    assert _violations(table) == [(a, b, c)]
+    with pytest.raises(TableValidationError) as err:
+        FiniteSemigroup([f"x{i}" for i in range(m)], table)
+    assert f"associativity fails at (x{a}, x{b}, x{c})" in str(err.value)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_single_bad_triple_rejected_large_random(data):
+    m = data.draw(st.integers(257, 320))
+    a, b, c = (data.draw(st.integers(0, m - 1)) for _ in range(3))
+    d, e, z = data.draw(
+        st.lists(st.integers(0, m - 1).filter(lambda v: v not in (a, b, c)),
+                 min_size=3, max_size=3, unique=True)
+    )
+    table = _one_bad_triple_table(m, a, b, c, d, e, z)
+    with pytest.raises(TableValidationError) as err:
+        FiniteSemigroup([f"x{i}" for i in range(m)], table)
+    assert f"associativity fails at (x{a}, x{b}, x{c})" in str(err.value)
+
+
+@st.composite
+def small_tables(draw):
+    """Tables of m <= 12 elements: a random one, or a semigroup (left zero,
+    right zero, constant, max semilattice, cyclic group) with up to two
+    entries overwritten."""
+    m = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["random", "left", "right", "const", "max", "cyclic"]))
+    entry = st.integers(0, m - 1)
+    if kind == "random":
+        return draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+    base = {
+        "left": lambda x, y: x,
+        "right": lambda x, y: y,
+        "const": lambda x, y: 0,
+        "max": max,
+        "cyclic": lambda x, y: (x + y) % m,
+    }[kind]
+    table = [[base(x, y) for y in range(m)] for x in range(m)]
+    for _ in range(draw(st.integers(0, 2))):
+        table[draw(entry)][draw(entry)] = draw(entry)
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_tables())
+def test_light_test_matches_exhaustive_check(table):
+    expected = _violations(table)
+    rows = [list(r) for r in table]
+    cols = [list(c) for c in zip(*rows)]
+    found = engine._associativity_failure(np.asarray(table, dtype=np.int32), rows, cols)
+    if expected:
+        assert found in expected
+        with pytest.raises(TableValidationError):
+            FiniteSemigroup([f"x{i}" for i in range(len(table))], table)
+    else:
+        assert found is None
+        FiniteSemigroup([f"x{i}" for i in range(len(table))], table)
 
 
 # --- closure and generation -------------------------------------------------------
@@ -527,6 +611,26 @@ def test_import_rejects_bad_schema():
         import_table('{"labels": ["a"]}')
     with pytest.raises(TableParseError):
         import_table('{"n": 0, "labels": ["a"], "table": [[0]]}')
+
+
+def test_import_rejects_bool_n():
+    with pytest.raises(TableParseError):
+        import_table('{"n": true, "labels": ["a"], "table": [[0]]}')
+
+
+BIG = 2**32  # wraps to 0 when narrowed to int32
+
+
+def test_import_json_rejects_entries_past_int32():
+    with pytest.raises(TableValidationError):
+        import_table(
+            f'{{"n": null, "labels": ["a", "b"], "table": [[{BIG}, {BIG}], [{BIG}, {BIG + 1}]]}}'
+        )
+
+
+def test_import_csv_rejects_entries_past_int32():
+    with pytest.raises(TableValidationError):
+        import_table(f"a,b\n{BIG},{BIG}\n{BIG},{BIG + 1}\n")
 
 
 def test_import_rejects_ragged_or_float_tables():

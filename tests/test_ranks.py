@@ -17,7 +17,6 @@ from brandt_ranks.ranks import (
     SearchBudget,
     construct_witness,
     first_factor_lower_bound,
-    generating_subset_sweep,
     intermediate_rank_bruteforce,
     intermediate_rank_verify,
     kappa_upper_bound,
@@ -106,9 +105,10 @@ def test_witness_sizes(n):
     assert len(construct_witness(n, "V")) == n - 1
 
 
-def test_witness_t_members_are_nsupport(ab2):
+def test_witness_t_members_are_nsupport(ab2, phi_table):
     elems = enumerate_a_plus(2)
-    from brandt_ranks.affine import NSupport, RawMap, map_table, phi_from_perm, all_permutations
+    from brandt_ranks.affine import NSupport, map_table, all_permutations
+    from brandt_ranks.brandt import bn_add
 
     t = construct_witness(2, "T")
     assert all(isinstance(elems[i], NSupport) for i in t)
@@ -116,8 +116,7 @@ def test_witness_t_members_are_nsupport(ab2):
     oracle = set()
     for sigma in all_permutations(2):
         for c in (Const((0, 1)), Const((1, 0))):
-            s = add_maps(2, phi_from_perm(2, sigma), RawMap(map_table(2, c)))
-            oracle.add(s.table)
+            oracle.add(tuple(bn_add(2, x, y) for x, y in zip(phi_table(2, sigma), map_table(2, c))))
     assert {map_table(2, elems[i]) for i in t} == oracle
 
 
@@ -269,8 +268,11 @@ def test_lower_rank_rejects_non_generating_witness(ab2):
 
 
 def test_generating_subset_sweep_none_at_5(ab2):
-    complete, found = generating_subset_sweep(ab2, 5, BIG)
-    assert complete and found == []
+    # the exhaustive sweep of all 5-subsets that settles r2 = 6
+    wit = construct_witness(2, "S") | construct_witness(2, "T")
+    rv = lower_rank_exact(ab2, BIG, witness=wit)
+    assert rv.value == 6
+    assert rv.detail == "no generating subset of size 5 (exhaustive)"
 
 
 # --- r3 -------------------------------------------------------------------------
