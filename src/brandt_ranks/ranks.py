@@ -299,7 +299,7 @@ def small_rank(sg: FiniteSemigroup, budget: SearchBudget | None = None) -> RankV
 
 def _small_rank_bruteforce(sg: FiniteSemigroup, budget: SearchBudget | None) -> RankValue:
     clock = _Clock(budget or SearchBudget())
-    rows, cols = sg.rows, sg.cols
+    rows, cols, ideals = sg.rows, sg.cols, sg.ideals
     m = sg.m
     # singletons are always independent (nothing generates from the empty
     # set), so the scan starts at pairs and the first failing level ends it
@@ -311,7 +311,7 @@ def _small_rank_bruteforce(sg: FiniteSemigroup, budget: SearchBudget | None) -> 
             bits = 0
             for i in combo:
                 bits |= 1 << i
-            if not engine.independent_bits(rows, cols, bits):
+            if not engine.independent_bits(rows, cols, ideals, bits):
                 return RankValue(value=k - 1, provenance=PROV_SEARCH,
                                  detail=f"dependent {k}-subset found")
     return RankValue(value=m, provenance=PROV_SEARCH, detail="every subset is independent")
@@ -486,12 +486,15 @@ def intermediate_rank_verify(
     maximality exhaustively over the stratified candidate space: independent
     generating sets carry no singleton maps, exactly n*n! n-support maps and
     between n and 2n-2 full-support constants, so all admissible candidates
-    (plus their zero-constant augmentations) are enumerated and checked.
+    (plus their zero-constant augmentations) are enumerated and checked, one
+    budget node per candidate. If the budget runs out first, the verified
+    witness still proves the lower bound, and the result is (witness size, m).
     """
     check_n(n)
     if n < 2:
         raise InvalidParameterError("intermediate rank verification needs n >= 2")
     start = time.monotonic()
+    clock = _Clock(budget or SearchBudget())
     sg = sg if sg is not None else a_plus_semigroup(n)
     w = construct_witness(n, "SprimeUnionT")
     if not engine.is_generating(sg, w):
@@ -511,6 +514,14 @@ def intermediate_rank_verify(
         hits = 0
         for fc in itertools.combinations(full_idx, 2):
             for ns in itertools.combinations(nsup_idx, 4):
+                if not clock.spend():
+                    return _finish(
+                        RankValue(bounds=(expected, sg.m), provenance=PROV_BOUNDS,
+                                  witness=wit, witness_labels=tuple(sg.label_list(wit)),
+                                  detail=f"{detail}; budget exhausted during stratified "
+                                         "confirmation"),
+                        start,
+                    )
                 cand = fc + ns
                 if engine.is_generating(sg, cand) and engine.is_independent(sg, cand):
                     hits += 1
@@ -568,10 +579,20 @@ def upper_rank_search(
     At each node the optimistic bound is |current| + |remaining compatible
     candidates|. ``seed`` may prime the incumbent with a known independent
     set; it is verified first and only strengthens pruning.
+
+    For each chosen member c the search keeps a leave-one-out closure
+    ``minus_bits[r]`` (c = chosen[r]): the closure of some G_r with
+    (chosen minus c) ∩ up(c) ⊆ G_r ⊆ chosen minus c, where up(c) is the set
+    of elements whose principal ideal holds c (``FiniteSemigroup.ideals``).
+    A new member x extends only the closures of the c in its own ideal. The
+    test "c in minus_bits[r]" stays exact, because a sum equal to c lies in
+    the ideal of each of its terms, so c is generated by chosen minus c iff
+    it is generated by the members in up(c). The tree is the one the
+    unfiltered closures give, with far fewer closure extensions.
     """
     start = time.monotonic()
     clock = _Clock(budget or SearchBudget())
-    rows, cols = sg.rows, sg.cols
+    rows, cols, ideals = sg.rows, sg.cols, sg.ideals
     m = sg.m
     full_mask = (1 << m) - 1
 
@@ -615,13 +636,16 @@ def upper_rank_search(
             x = (cand & -cand).bit_length() - 1
             cand &= ~(1 << x)
 
+            ideal = ideals[x]
             marks = [len(e) for e in minus_elems]
             new_minus: list[int] = []
             ok = True
-            for r in range(len(chosen)):
-                nb = extend_closure(rows, cols, minus_bits[r], minus_elems[r], x)
+            for r, c in enumerate(chosen):
+                nb = minus_bits[r]
+                if ideal >> c & 1:  # otherwise x is no factor of any sum equal to c
+                    nb = extend_closure(rows, cols, nb, minus_elems[r], x)
                 new_minus.append(nb)
-                if nb >> chosen[r] & 1:
+                if nb >> c & 1:
                     ok = False
                     break
             if ok:
@@ -679,22 +703,30 @@ def _pairs_into(table: np.ndarray) -> list[list[int]]:
     return [part.tolist() for part in np.split(order, cuts)]
 
 
-def smallest_prime_subset(sg: FiniteSemigroup, size_cap: int) -> tuple[int, ...] | None:
-    """Smallest nonempty proper prime subset of size <= size_cap, or None.
+def smallest_prime_subset(
+    sg: FiniteSemigroup, size_cap: int, budget: SearchBudget | None = None
+) -> tuple[tuple[int, ...] | None, int]:
+    """Smallest nonempty proper prime subset of size <= size_cap, and a proven size.
+
+    Returns (subset, k): no proper prime subset has k or fewer elements, and
+    subset is a smallest one (then k = |subset| - 1) or None (then k is
+    size_cap, or less if the budget ran out first).
 
     Size 1 reduces to indecomposable elements. Beyond that, every prime set
     containing a chosen seed must hit every two-term decomposition of each
     member, so branching on the two factors of a violated decomposition
-    enumerates all minimal candidates.
+    enumerates all minimal candidates, one budget node per branch. The caps
+    2, 3, ... are searched in turn, so a level that completes proves its size.
     """
     m = sg.m
     if m == 1:
-        return None
+        return None, 0
     ind = engine.indecomposables(sg)
     if len(ind) > 0:
-        return (next(iter(ind)),)
+        return (next(iter(ind)),), 0
     if size_cap < 2:
-        return None
+        return None, size_cap
+    clock = _Clock(budget or SearchBudget())
     pairs = _pairs_into(sg.table)
 
     best: list[tuple[int, ...]] = []
@@ -707,36 +739,42 @@ def smallest_prime_subset(sg: FiniteSemigroup, size_cap: int) -> tuple[int, ...]
                     return a, b
         return None
 
-    def rec(bits: int, size: int, cap: int) -> None:
+    def rec(bits: int, size: int, cap: int) -> bool:
+        # False once the budget is gone
+        if not clock.spend():
+            return False
         v = violated(bits)
         if v is None:
             cand = tuple(iter_bits(bits))
             if len(cand) < m:
                 best.append(cand)
-            return
+            return True
         if size >= cap:
-            return
+            return True
         a, b = v
-        rec(bits | 1 << a, size + 1, cap)
-        rec(bits | 1 << b, size + 1, cap)
+        return rec(bits | 1 << a, size + 1, cap) and rec(bits | 1 << b, size + 1, cap)
 
     for cap in range(2, size_cap + 1):
         for u in range(m):
-            rec(1 << u, 1, cap)
+            if not rec(1 << u, 1, cap):
+                return None, cap - 1
         if best:
             best.sort(key=lambda t: (len(t), t))
-            return best[0]
-    return None
+            return best[0], cap - 1
+    return None, size_cap
 
 
-def large_rank_exact(sg: FiniteSemigroup, size_cap: int | None = None) -> RankValue:
+def large_rank_exact(
+    sg: FiniteSemigroup, size_cap: int | None = None, budget: SearchBudget | None = None
+) -> RankValue:
     """r5 via the smallest proper prime subset: r5 = m - |U*| + 1.
 
     The complement of a smallest proper prime subset is a largest proper
     subsemigroup, and forcing generation needs one more element than its
     size. An indecomposable element forms a singleton prime subset, so its
     presence gives r5 = m immediately. If no prime subset exists below the
-    size cap, a bounds-only result notes the cap.
+    size cap, or the budget runs out first, a bounds-only result notes the
+    largest size the search has excluded.
     """
     start = time.monotonic()
     m = sg.m
@@ -744,11 +782,13 @@ def large_rank_exact(sg: FiniteSemigroup, size_cap: int | None = None) -> RankVa
         return _finish(RankValue(value=1, provenance=PROV_FORMULA,
                                  detail="one-element semigroup"), start)
     cap = size_cap if size_cap is not None else (sg.n if sg.n else min(6, m - 1))
-    prime = smallest_prime_subset(sg, cap)
+    prime, proven = smallest_prime_subset(sg, cap, budget)
     if prime is None:
+        detail = f"no proper prime subset of size <= {proven}"
+        if proven < cap:
+            detail = f"budget exhausted; {detail}"
         return _finish(
-            RankValue(bounds=(2, m - cap), provenance=PROV_BOUNDS,
-                      detail=f"no proper prime subset of size <= {cap}"),
+            RankValue(bounds=(2, m - proven), provenance=PROV_BOUNDS, detail=detail),
             start,
         )
     if not engine.is_prime_subset(sg, prime):
@@ -794,7 +834,7 @@ def plan_rank(sg: FiniteSemigroup, key: str, budget: SearchBudget | None = None)
             return intermediate_rank_bruteforce(sg, budget)
         return intermediate_rank_verify(n, budget, sg=sg)
     if key == "r5":
-        return large_rank_exact(sg)
+        return large_rank_exact(sg, budget=budget)
     if key != "r4":
         raise InvalidParameterError(f"unknown rank {key!r}; expected one of {RANK_KEYS}")
     if n == 1:

@@ -318,7 +318,7 @@ def verify_all(n: int, budget: SearchBudget | None = None) -> VerificationReport
     runner.run("rank-r3", check_r3)
 
     def check_r5() -> str:
-        rv = plan_rank(sg, "r5")
+        rv = plan_rank(sg, "r5", remaining())
         ranks.ranks["r5"] = rv
         expected = formulas.ranks["r5"].value
         _require(rv.exact and rv.value == expected, f"r5 {rv.value or rv.bounds} != {expected}")

@@ -154,6 +154,8 @@ GOLDEN_CASES = {
     **{f"verify-n{n}": ("verify", "--n", str(n), *GOLDEN_BUDGET) for n in (1, 2, 3)},
     "search-r4-n2": ("search-r4", "--n", "2", *GOLDEN_BUDGET),
     "search-r4-n3-2000": ("search-r4", "--n", "3", *GOLDEN_BUDGET, "--node-limit", "2000"),
+    "search-r4-n3-8000": ("search-r4", "--n", "3", *GOLDEN_BUDGET, "--node-limit", "8000"),
+    "search-r4-n4-300": ("search-r4", "--n", "4", *GOLDEN_BUDGET, "--node-limit", "300"),
     **{
         f"rank-{which}-n{n}": ("rank", "--n", str(n), "--which", which, *GOLDEN_BUDGET)
         for which in ("r1", "r2", "r3", "r5")

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from brandt_ranks import engine
 from brandt_ranks.affine import NSupport, enumerate_a_plus
+from brandt_ranks.brandt import brandt_semigroup
 from brandt_ranks.engine import (
     FiniteSemigroup,
     IndexSet,
@@ -501,6 +503,54 @@ def test_hereditary_independence_randomized(ab2, xs, rng):
     assert is_independent(ab2, v)
 
 
+# --- principal ideals ----------------------------------------------------------
+
+
+def _ideal_reference(sg, x):
+    """S¹xS¹ = {x} ∪ {a + x} ∪ {x + b} ∪ {a + x + b}, read off the table."""
+    t = sg.table
+    return {x} | set(t[:, x].tolist()) | set(t[x].tolist()) | set(t[t[:, x]].ravel().tolist())
+
+
+def _semigroup(m, op):
+    return FiniteSemigroup([f"x{i}" for i in range(m)], [[op(a, b) for b in range(m)] for a in range(m)])
+
+
+CYCLIC_7 = _semigroup(7, lambda a, b: (a + b) % 7)
+LEFT_ZERO_6 = _semigroup(6, lambda a, b: a)
+MAX_CHAIN_6 = _semigroup(6, max)
+
+
+@pytest.mark.parametrize("name", ["ab1", "ab2", "ab3", "b3"])
+def test_ideals_match_the_table(name, request):
+    sg = request.getfixturevalue(name)
+    for x in range(sg.m):
+        assert set(engine.iter_bits(sg.ideals[x])) == _ideal_reference(sg, x)
+
+
+def test_ideals_of_small_semigroups():
+    # a group and a left-zero band: every ideal is everything, so the ideal
+    # filter skips no member; a chain under max: the ideal of x is [x, m)
+    for sg in (CYCLIC_7, LEFT_ZERO_6):
+        assert sg.ideals == [(1 << sg.m) - 1] * sg.m
+    assert MAX_CHAIN_6.ideals == [((1 << 6) - 1) & ~((1 << x) - 1) for x in range(6)]
+
+
+def test_ideals_are_built_on_first_use():
+    sg = _semigroup(4, max)
+    assert "ideals" not in vars(sg)
+    assert sg.ideals is sg.ideals
+
+
+@pytest.mark.parametrize(
+    "sg", [CYCLIC_7, LEFT_ZERO_6, MAX_CHAIN_6], ids=["cyclic-7", "left-zero-6", "max-chain-6"]
+)
+def test_independence_matches_oracle_on_every_subset(sg):
+    for bits in range(1, 1 << sg.m):
+        members = list(engine.iter_bits(bits))
+        assert is_independent(sg, members) == _independent_oracle(sg, members)
+
+
 # --- Green's relations ------------------------------------------------------------
 
 
@@ -631,6 +681,62 @@ def test_import_json_rejects_entries_past_int32():
 def test_import_csv_rejects_entries_past_int32():
     with pytest.raises(TableValidationError):
         import_table(f"a,b\n{BIG},{BIG}\n{BIG},{BIG + 1}\n")
+
+
+def test_import_rejects_bytes_that_are_not_utf8():
+    with pytest.raises(TableParseError):
+        import_table(b"\xff\xfe")
+
+
+def test_import_rejects_deep_json_and_huge_csv_fields():
+    with pytest.raises(TableParseError):
+        import_table('{"labels": ' + "[" * 100_000)
+    with pytest.raises(TableParseError):
+        import_table("a\n" + "x" * 200_000 + "\n")
+
+
+def _import_or_table_error(data):
+    """import_table gives a semigroup or raises one of its two table errors."""
+    try:
+        sg = import_table(data)
+    except (TableParseError, TableValidationError):
+        return
+    assert isinstance(sg, FiniteSemigroup)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**70) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=20,
+)
+SNIPPETS = st.binary(max_size=4) | st.sampled_from(
+    [b"{", b"}", b"[", b"]", b",", b'"', b":", b"\n", b"-1", b"7", b"true", b"null", b"1e400"]
+)
+
+
+@st.composite
+def mutated(draw, data):
+    """``data`` with up to three slices deleted, replaced or inserted."""
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 8)))
+        data = data[:i] + draw(SNIPPETS) + data[j:]
+    return data
+
+
+B2_TABLES = [export_table(brandt_semigroup(2), fmt).encode("utf-8") for fmt in ("json", "csv")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=200) | st.one_of(*(mutated(t) for t in B2_TABLES)))
+def test_import_fuzz_gives_a_table_or_a_table_error(data):
+    _import_or_table_error(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({"labels": JSON_VALUES, "table": JSON_VALUES}, optional={"n": JSON_VALUES}))
+def test_import_fuzz_json_payloads(payload):
+    _import_or_table_error(json.dumps(payload))
 
 
 def test_import_rejects_ragged_or_float_tables():

@@ -3,11 +3,18 @@ import types
 from math import factorial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_engine import small_tables
 
 from brandt_ranks import engine
 from brandt_ranks.affine import Const, ConstZero, add_maps, enumerate_a_plus, map_label
 from brandt_ranks.engine import FiniteSemigroup, IndexSet, closure_bits
-from brandt_ranks.errors import InvalidParameterError, WitnessVerificationError
+from brandt_ranks.errors import (
+    InvalidParameterError,
+    TableValidationError,
+    WitnessVerificationError,
+)
 from brandt_ranks.ranks import (
     PROV_BOUNDS,
     PROV_SEARCH,
@@ -296,6 +303,17 @@ def test_intermediate_rank_n4(ab4):
     assert rv.provenance == PROV_WITNESS
 
 
+def test_intermediate_rank_n2_keeps_budget(ab2):
+    # one node per stratified candidate: the limit stops the confirmation
+    # after the first, and the verified witness still proves the lower bound
+    rv = intermediate_rank_verify(2, SearchBudget(node_limit=1), sg=ab2)
+    assert not rv.exact and rv.provenance == PROV_BOUNDS
+    assert rv.bounds == (6, 29)
+    assert len(rv.witness) == 6 and engine.is_independent(ab2, rv.witness)
+    assert "budget exhausted" in rv.detail
+    assert not plan_rank(ab2, "r3", SearchBudget(node_limit=1)).exact
+
+
 def test_intermediate_rank_bruteforce_b1(ab1):
     assert intermediate_rank_bruteforce(ab1, BIG).value == 3
 
@@ -431,8 +449,8 @@ def test_large_rank_a_plus_b3(ab3):
 
 
 def test_smallest_prime_subset_n3_matches_naive_scan(ab3):
-    found = smallest_prime_subset(ab3, 3)
-    assert len(found) == 2
+    found, proven = smallest_prime_subset(ab3, 3)
+    assert len(found) == 2 and proven == 1
     # naive oracle: no singleton is prime, some pair is
     assert all(not engine.is_prime_subset(ab3, [i]) for i in range(ab3.m))
     first_pair = None
@@ -457,6 +475,17 @@ def test_pairs_into_matches_reference_loop_in_order(ab2, ab3):
     for sg in (ab2, ab3):
         got = [[divmod(p, sg.m) for p in pairs] for pairs in _pairs_into(sg.table)]
         assert got == _pairs_into_reference(sg.rows, sg.m)
+
+
+def test_large_rank_keeps_budget(ab3):
+    # A+(B_3) has no indecomposable element, so the search for a prime pair
+    # starts and the one-node limit stops it: only size 1 is excluded
+    rv = large_rank_exact(ab3, budget=SearchBudget(node_limit=1))
+    assert not rv.exact and rv.provenance == PROV_BOUNDS
+    assert rv.bounds == (2, 144)
+    assert rv.detail == "budget exhausted; no proper prime subset of size <= 1"
+    assert smallest_prime_subset(ab3, 3, SearchBudget(node_limit=1)) == (None, 1)
+    assert plan_rank(ab3, "r5", SearchBudget(node_limit=1)).bounds == (2, 144)
 
 
 def test_large_rank_b2(b2):
@@ -525,3 +554,58 @@ def test_searches_match_brute_force_on_random_subsemigroups(ab2):
                 break
         assert lower_rank_exact(sub, BIG).value == mingen
         checked += 1
+
+
+def _max_independent_bruteforce(sg):
+    """Size of a largest independent subset, from the closure of every subset.
+
+    Each closure extends the closure of the subset without its lowest
+    member by the per-member loop: no ideal filter, no closure code from
+    ``engine``.
+    """
+    rows, m = sg.rows, sg.m
+    closed = [0] * (1 << m)
+    for bits in range(1, 1 << m):
+        low = bits & -bits
+        c = closed[bits ^ low] | low
+        elems = list(engine.iter_bits(c))
+        stack = [low.bit_length() - 1]
+        while stack:
+            a = stack.pop()
+            for b in elems[:]:
+                for p in (rows[a][b], rows[b][a]):
+                    if not c >> p & 1:
+                        c |= 1 << p
+                        elems.append(p)
+                        stack.append(p)
+        closed[bits] = c
+    return max(
+        bits.bit_count()
+        for bits in range(1, 1 << m)
+        if all(not closed[bits & ~(1 << a)] >> a & 1 for a in engine.iter_bits(bits))
+    )
+
+
+@st.composite
+def _b2_subsemigroups(draw, ab2):
+    sub = _sub_semigroup(ab2, draw(st.sets(st.integers(0, 28), min_size=1, max_size=4)))
+    assume(sub.m <= 12)
+    return sub
+
+
+def _semigroup_or_none(table):
+    try:
+        return FiniteSemigroup([f"x{i}" for i in range(len(table))], table)
+    except TableValidationError:
+        return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_upper_rank_search_matches_brute_force(ab2, data):
+    sg = data.draw(
+        _b2_subsemigroups(ab2)
+        | small_tables().map(_semigroup_or_none).filter(lambda sg: sg is not None)
+    )
+    rv = upper_rank_search(sg, BIG)
+    assert rv.value == _max_independent_bruteforce(sg) == len(rv.witness)
