@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / all verified, 1 verification mismatch, 2 invalid
 arguments, 3 budget exhausted (bounds emitted). The default search budget is
-60 seconds and 1e8 nodes.
+``SearchBudget``'s: 60 seconds and 1e8 nodes.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-DEFAULT_BUDGET_SECONDS = 60.0
-DEFAULT_NODE_LIMIT = 100_000_000
 
 
 def _positive_int(text: str) -> int:
@@ -64,9 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=_positive_int, required=True, metavar="N")
         if budget:
             p.add_argument("--budget", type=_positive_float,
-                           default=DEFAULT_BUDGET_SECONDS, metavar="SECONDS")
+                           default=SearchBudget.seconds, metavar="SECONDS")
             p.add_argument("--node-limit", type=_positive_int,
-                           default=DEFAULT_NODE_LIMIT, metavar="NODES")
+                           default=SearchBudget.node_limit, metavar="NODES")
         if fmt:
             p.add_argument("--format", choices=fmt, default=fmt[0])
 

@@ -65,9 +65,6 @@ class IndexSet:
 
     __or__ = union
 
-    def copy(self) -> "IndexSet":
-        return IndexSet.from_bits(self.m, self.bits)
-
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.m and (self.bits >> i) & 1 == 1
 
@@ -102,16 +99,23 @@ def _associativity_failure(
     A+(B_n) at n = 2, 3, 4), so the check costs m * m * |G| lookups.
     """
     by_col = np.ascontiguousarray(table.T)  # by_col[b][a] = a + b
+    # Both products go into reused buffers: with a fresh pair of m x m
+    # temporaries for each g, the n = 4 check ran about twice as slow
+    # whenever the allocator returned them to the OS between iterations.
+    # "clip" lets numpy write into ``out`` without a buffer; every index is
+    # in range.
+    left_t, right = np.empty_like(by_col), np.empty_like(by_col)
     bits = 0
     elems: list[int] = []
     for g in range(len(rows)):
         if bits >> g & 1:
             continue
         bits = extend_closure(rows, cols, bits, elems, g)
-        # [y, x]: (x + g) + y against x + (g + y)
-        left, right = table[by_col[g]].T, by_col[table[g]]
-        if not np.array_equal(left, right):
-            y, x = np.argwhere(left != right)[0]
+        # left_t[x, y] = (x + g) + y against right[y, x] = x + (g + y)
+        np.take(table, by_col[g], axis=0, out=left_t, mode="clip")
+        np.take(by_col, table[g], axis=0, out=right, mode="clip")
+        if not np.array_equal(left_t.T, right):
+            y, x = np.argwhere(left_t.T != right)[0]
             return int(x), g, int(y)
     return None
 
@@ -124,10 +128,12 @@ class FiniteSemigroup:
     (``rows[a][b] = a + b``) for tight search loops, and ``cols`` the
     transposed table (``cols[b][a] = a + b``), built from ``rows`` so that
     both share their int objects (at n = 4, ``table.T.tolist()`` would box
-    another 431k ints). Instances are immutable after construction.
+    another 431k ints). Instances are immutable after construction; an
+    int32 array given as ``table`` is kept as ``table`` without a copy and
+    made read-only.
     """
 
-    def __init__(self, labels, table, n: int | None = None, elements=None):
+    def __init__(self, labels, table, n: int | None = None):
         labels = tuple(str(x) for x in labels)
         m = len(labels)
         if m == 0:
@@ -147,7 +153,7 @@ class FiniteSemigroup:
         # range-check before narrowing, so no entry can wrap into range
         if int(arr.min()) < 0 or int(arr.max()) >= m:
             raise TableValidationError("table entries must be element indices in [0, m)")
-        arr = arr.astype(np.int32)
+        arr = arr.astype(np.int32, copy=False)
         rows = arr.tolist()
         cols = [list(c) for c in zip(*rows)]
         bad = _associativity_failure(arr, rows, cols)
@@ -162,7 +168,6 @@ class FiniteSemigroup:
         self.rows = rows
         self.cols = cols
         self.n = n
-        self.elements = tuple(elements) if elements is not None else None
 
     @property
     def m(self) -> int:
@@ -213,7 +218,7 @@ class FiniteSemigroup:
             if e in index:
                 raise InvalidParameterError(f"duplicate element {lab[i]!r}")
             index[e] = i
-        rows_py = []
+        table = np.empty((len(elements), len(elements)), dtype=np.int32)
         get = index.get
         for i, a in enumerate(elements):
             row = []
@@ -223,8 +228,8 @@ class FiniteSemigroup:
                 if k is None:
                     raise ClosureViolationError(lab[i], lab[j])
                 append(k)
-            rows_py.append(row)
-        return cls(lab, rows_py, n=n, elements=elements)
+            table[i] = row
+        return cls(lab, table, n=n)
 
     def label_list(self, indices: Iterable[int]) -> list[str]:
         return [self.labels[i] for i in indices]

@@ -21,13 +21,12 @@ from .affine import (
     Const,
     NSupport,
     Singleton,
-    a_plus_semigroup,
     a_plus_size,
     all_permutations,
     enumerate_a_plus,
     perm_inverse,
 )
-from .brandt import brandt_semigroup, check_n
+from .brandt import check_n
 from .engine import FiniteSemigroup, IndexSet, closure_bits, extend_closure, iter_bits
 from .errors import InvalidParameterError, WitnessVerificationError
 
@@ -47,7 +46,9 @@ class SearchBudget:
     node after its deadline; it then re-checks its best witness. Work before
     the first node (a seed check, for one) cannot be cut short. The stated
     margin is OVERSHOOT_MARGIN_S past ``seconds``; a 1 s r4 search at n = 3
-    or n = 4 returns about 0.02 s late on a 2-vCPU VM.
+    or n = 4 returns about 0.02 s late on a 2-vCPU VM. A routine given no
+    budget runs under these field defaults, which are also the CLI's
+    ``--budget`` and ``--node-limit`` defaults.
     """
 
     seconds: float = 60.0
@@ -61,12 +62,17 @@ class SearchBudget:
 
 
 class _Clock:
-    """Budget tracker; ``spend`` returns False once the budget is gone."""
+    """Budget tracker; ``spend`` returns False once the budget is gone.
 
-    __slots__ = ("deadline", "nodes_left", "ok")
+    ``start`` is when the routine began, the origin of ``elapsed_ms``.
+    """
 
-    def __init__(self, budget: SearchBudget):
-        self.deadline = time.monotonic() + budget.seconds
+    __slots__ = ("start", "deadline", "nodes_left", "ok")
+
+    def __init__(self, budget: SearchBudget | None = None):
+        budget = budget or SearchBudget()
+        self.start = time.monotonic()
+        self.deadline = self.start + budget.seconds
         self.nodes_left = budget.node_limit
         self.ok = True
 
@@ -146,9 +152,15 @@ class RankReport:
         return {"n": self.n, "ranks": {k: v.to_json_dict() for k, v in self.ranks.items()}}
 
 
-def _finish(rv: RankValue, start: float) -> RankValue:
-    rv.elapsed_ms = (time.monotonic() - start) * 1000.0
-    return rv
+def _rank(sg: FiniteSemigroup | None, clock: _Clock, *, value: int | None = None,
+          bounds: tuple[int, int] | None = None, provenance: str = PROV_FORMULA,
+          witness: tuple[int, ...] | None = None, detail: str = "") -> RankValue:
+    """The one place a rank routine builds its result: witness labels read
+    from ``sg``, ``elapsed_ms`` measured from ``clock.start``."""
+    labels = tuple(sg.label_list(witness)) if witness else None
+    return RankValue(value=value, bounds=bounds, provenance=provenance, witness=witness,
+                     witness_labels=labels, elapsed_ms=(time.monotonic() - clock.start) * 1000.0,
+                     detail=detail)
 
 
 # --- closed forms --------------------------------------------------------------
@@ -164,27 +176,23 @@ def kappa_upper_bound(n: int) -> int:
 def rank_formulas(n: int) -> RankReport:
     """The closed-form ranks; r4 is exact for n >= 6, bounds for 2 <= n <= 5."""
     check_n(n)
-    start = time.monotonic()
+    clock = _Clock()
     report = RankReport(n=n)
     if n == 1:
         for key in RANK_KEYS:
-            report.ranks[key] = _finish(RankValue(value=3), start)
+            report.ranks[key] = _rank(None, clock, value=3)
         return report
     f = factorial(n)
-    report.ranks["r1"] = _finish(RankValue(value=1), start)
-    report.ranks["r2"] = _finish(RankValue(value=n * (f + 1)), start)
-    report.ranks["r3"] = _finish(RankValue(value=n * f + 2 * n - 2), start)
+    report.ranks["r1"] = _rank(None, clock, value=1)
+    report.ranks["r2"] = _rank(None, clock, value=n * (f + 1))
+    report.ranks["r3"] = _rank(None, clock, value=n * f + 2 * n - 2)
     r4_lower = 14 if n == 2 else f * n * n + n
     if n >= 6:
-        report.ranks["r4"] = _finish(RankValue(value=f * n * n + n), start)
+        report.ranks["r4"] = _rank(None, clock, value=f * n * n + n)
     else:
-        report.ranks["r4"] = _finish(
-            RankValue(bounds=(r4_lower, kappa_upper_bound(n)), provenance=PROV_BOUNDS),
-            start,
-        )
-    report.ranks["r5"] = _finish(
-        RankValue(value=f * n * n + n * n + n**4 - n + 3), start
-    )
+        report.ranks["r4"] = _rank(None, clock, bounds=(r4_lower, kappa_upper_bound(n)),
+                                   provenance=PROV_BOUNDS)
+    report.ranks["r5"] = _rank(None, clock, value=f * n * n + n * n + n**4 - n + 3)
     return report
 
 
@@ -196,7 +204,7 @@ def _cycle_constants(n: int) -> list[Const]:
     return [Const((i, i + 1)) for i in range(n - 1)] + [Const((n - 1, 0))]
 
 
-def _witness_elements(n: int, kind: str, q_subset=None):
+def _witness_elements(n: int, kind: str):
     if kind == "S":
         return _cycle_constants(n)
     if kind == "T":
@@ -227,37 +235,20 @@ def _witness_elements(n: int, kind: str, q_subset=None):
         return sing + [Const((0, 0)), Const((1, 1))]
     if kind == "V":
         return [Const((n - 1, k)) for k in range(n - 1)]
-    if kind == "Qprime":
-        if not q_subset:
-            raise InvalidParameterError("Qprime needs a nonempty independent subset of B_n")
-        pairs = []
-        for x in q_subset:
-            if x is None:
-                raise InvalidParameterError("Qprime values must be nonzero pairs")
-            i, j = x
-            if not (0 <= i < n and 0 <= j < n):
-                raise InvalidParameterError(f"pair {x!r} out of range for n={n}")
-            pairs.append((i, j))
-        bsg = brandt_semigroup(n)
-        idx = [1 + i * n + j for (i, j) in pairs]
-        if not engine.is_independent(bsg, idx):
-            raise InvalidParameterError("Qprime requires an independent subset of B_n")
-        return [Singleton(k, l, a, b) for k in range(n) for l in range(n) for (a, b) in pairs]
     raise InvalidParameterError(f"unknown witness kind {kind!r}")
 
 
-def construct_witness(n: int, kind: str, q_subset=None) -> IndexSet:
+def construct_witness(n: int, kind: str) -> IndexSet:
     """Index set of a named witness inside the canonical enumeration.
 
     Kinds: S (cycle constants), T (automorphism + S sums), SprimeUnionT,
     I (all n-support maps plus diagonal constants), P2 (the 14-element
-    independent set, n=2 only), V (the small prime subset), Qprime (singleton
-    maps over an independent subset of B_n).
+    independent set, n=2 only), V (the small prime subset).
     """
     check_n(n)
     if n < 2:
         raise InvalidParameterError("witness constructions need n >= 2")
-    elems = _witness_elements(n, kind, q_subset)
+    elems = _witness_elements(n, kind)
     index = {e: i for i, e in enumerate(enumerate_a_plus(n))}
     out = IndexSet(a_plus_size(n))
     for e in elems:
@@ -269,7 +260,7 @@ def construct_witness(n: int, kind: str, q_subset=None) -> IndexSet:
         "I": factorial(n) * n * n + n,
         "P2": 14,
         "V": n - 1,
-    }.get(kind, len(out))
+    }[kind]
     if len(out) != expected:
         raise WitnessVerificationError(f"witness {kind} has size {len(out)}, expected {expected}")
     return out
@@ -291,14 +282,13 @@ def small_rank(sg: FiniteSemigroup, budget: SearchBudget | None = None) -> RankV
     subset stays dependent under supersets, so the first failing level ends
     the scan).
     """
-    start = time.monotonic()
     if sg.m >= 2 and not engine.is_band(sg):
-        return _finish(RankValue(value=1, provenance=PROV_FORMULA), start)
-    return _finish(_small_rank_bruteforce(sg, budget), start)
+        return _rank(sg, _Clock(budget), value=1)
+    return _small_rank_bruteforce(sg, budget)
 
 
 def _small_rank_bruteforce(sg: FiniteSemigroup, budget: SearchBudget | None) -> RankValue:
-    clock = _Clock(budget or SearchBudget())
+    clock = _Clock(budget)
     rows, cols, ideals = sg.rows, sg.cols, sg.ideals
     m = sg.m
     # singletons are always independent (nothing generates from the empty
@@ -306,15 +296,16 @@ def _small_rank_bruteforce(sg: FiniteSemigroup, budget: SearchBudget | None) -> 
     for k in range(2, m + 1):
         for combo in itertools.combinations(range(m), k):
             if not clock.spend():
-                return RankValue(bounds=(k - 1, m), provenance=PROV_BOUNDS,
-                                 detail="budget exhausted during brute-force scan")
+                return _rank(sg, clock, bounds=(k - 1, m), provenance=PROV_BOUNDS,
+                             detail="budget exhausted during brute-force scan")
             bits = 0
             for i in combo:
                 bits |= 1 << i
             if not engine.independent_bits(rows, cols, ideals, bits):
-                return RankValue(value=k - 1, provenance=PROV_SEARCH,
-                                 detail=f"dependent {k}-subset found")
-    return RankValue(value=m, provenance=PROV_SEARCH, detail="every subset is independent")
+                return _rank(sg, clock, value=k - 1, provenance=PROV_SEARCH,
+                             detail=f"dependent {k}-subset found")
+    return _rank(sg, clock, value=m, provenance=PROV_SEARCH,
+                 detail="every subset is independent")
 
 
 # --- r2: lower rank ------------------------------------------------------------
@@ -399,8 +390,7 @@ def lower_rank_exact(
     found is the lexicographically smallest. Budget exhaustion yields
     (proven lower, best upper) bounds.
     """
-    start = time.monotonic()
-    clock = _Clock(budget or SearchBudget())
+    clock = _Clock(budget)
     rows, cols = sg.rows, sg.cols
     m = sg.m
     lb, _family = first_factor_lower_bound(sg)
@@ -416,11 +406,12 @@ def lower_rank_exact(
     def done(value: int, w: tuple[int, ...], prov: str, detail: str = "") -> RankValue:
         if closure_bits(rows, cols, sum(1 << i for i in w)) != (1 << m) - 1:
             raise WitnessVerificationError("minimum generating witness failed re-check")
-        return _finish(
-            RankValue(value=value, provenance=prov, witness=w,
-                      witness_labels=tuple(sg.label_list(w)), detail=detail),
-            start,
-        )
+        return _rank(sg, clock, value=value, provenance=prov, witness=w, detail=detail)
+
+    def bounded(lower: int, upper: int, detail: str) -> RankValue:
+        # the best generating set found so far, if any, proves the upper bound
+        return _rank(sg, clock, bounds=(lower, upper), provenance=PROV_BOUNDS, witness=wit,
+                     detail=detail)
 
     if wit is not None:
         while True:
@@ -431,12 +422,7 @@ def lower_rank_exact(
                 return done(len(wit), wit, PROV_WITNESS,
                             f"first-factor lower bound {lb} matches witness size")
             if _sweep_node_estimate(m, k) > clock.nodes_left:
-                return _finish(
-                    RankValue(bounds=(lb, len(wit)), provenance=PROV_BOUNDS, witness=wit,
-                              witness_labels=tuple(sg.label_list(wit)),
-                              detail=f"sweep of {k}-subsets exceeds node budget"),
-                    start,
-                )
+                return bounded(lb, len(wit), f"sweep of {k}-subsets exceeds node budget")
             completed, found = _sweep_generating_subsets(rows, cols, m, k, clock)
             if found:
                 wit = found[0]  # smaller generating set; tighten and repeat
@@ -447,39 +433,24 @@ def lower_rank_exact(
             if lb == len(wit):
                 return done(len(wit), wit, PROV_WITNESS,
                             f"first-factor lower bound {lb} matches witness size")
-            return _finish(
-                RankValue(bounds=(lb, len(wit)), provenance=PROV_BOUNDS, witness=wit,
-                          witness_labels=tuple(sg.label_list(wit)),
-                          detail="budget exhausted mid-sweep"),
-                start,
-            )
+            return bounded(lb, len(wit), "budget exhausted mid-sweep")
 
     for k in range(lb, m + 1):
         if _sweep_node_estimate(m, k) > clock.nodes_left:
-            return _finish(
-                RankValue(bounds=(k, m), provenance=PROV_BOUNDS,
-                          detail=f"sweep of {k}-subsets exceeds node budget"),
-                start,
-            )
+            return bounded(k, m, f"sweep of {k}-subsets exceeds node budget")
         completed, found = _sweep_generating_subsets(rows, cols, m, k, clock)
         if found:
             return done(len(found[0]), found[0], PROV_SEARCH)
         if not completed:
-            return _finish(
-                RankValue(bounds=(k, m), provenance=PROV_BOUNDS,
-                          detail="budget exhausted mid-sweep"),
-                start,
-            )
+            return bounded(k, m, "budget exhausted mid-sweep")
     raise WitnessVerificationError("the full element set failed to generate itself")
 
 
 # --- r3: intermediate rank -------------------------------------------------------
 
 
-def intermediate_rank_verify(
-    n: int, budget: SearchBudget | None = None, sg: FiniteSemigroup | None = None
-) -> RankValue:
-    """Verify the maximal independent generating set construction.
+def intermediate_rank_verify(sg: FiniteSemigroup, budget: SearchBudget | None = None) -> RankValue:
+    """Verify the maximal independent generating set construction in A+(B_n), n = sg.n.
 
     Builds the witness (boundary constants plus automorphism translates),
     asserts it is independent and generating, and for n = 2 confirms
@@ -490,12 +461,12 @@ def intermediate_rank_verify(
     budget node per candidate. If the budget runs out first, the verified
     witness still proves the lower bound, and the result is (witness size, m).
     """
-    check_n(n)
-    if n < 2:
-        raise InvalidParameterError("intermediate rank verification needs n >= 2")
-    start = time.monotonic()
-    clock = _Clock(budget or SearchBudget())
-    sg = sg if sg is not None else a_plus_semigroup(n)
+    n = sg.n
+    if n is None or n < 2:
+        raise InvalidParameterError(
+            "intermediate rank verification needs a semigroup built by a_plus_semigroup, n >= 2"
+        )
+    clock = _Clock(budget)
     w = construct_witness(n, "SprimeUnionT")
     if not engine.is_generating(sg, w):
         raise WitnessVerificationError("independent generating witness does not generate")
@@ -515,13 +486,9 @@ def intermediate_rank_verify(
         for fc in itertools.combinations(full_idx, 2):
             for ns in itertools.combinations(nsup_idx, 4):
                 if not clock.spend():
-                    return _finish(
-                        RankValue(bounds=(expected, sg.m), provenance=PROV_BOUNDS,
-                                  witness=wit, witness_labels=tuple(sg.label_list(wit)),
-                                  detail=f"{detail}; budget exhausted during stratified "
-                                         "confirmation"),
-                        start,
-                    )
+                    return _rank(sg, clock, bounds=(expected, sg.m), provenance=PROV_BOUNDS,
+                                 witness=wit, detail=f"{detail}; budget exhausted during "
+                                                     "stratified confirmation")
                 cand = fc + ns
                 if engine.is_generating(sg, cand) and engine.is_independent(sg, cand):
                     hits += 1
@@ -534,23 +501,18 @@ def intermediate_rank_verify(
             raise WitnessVerificationError("no stratified candidate verified")
         prov = PROV_SEARCH
         detail = f"stratified exhaustive confirmation: {hits} maximal candidates"
-    return _finish(
-        RankValue(value=expected, provenance=prov, witness=wit,
-                  witness_labels=tuple(sg.label_list(wit)), detail=detail),
-        start,
-    )
+    return _rank(sg, clock, value=expected, provenance=prov, witness=wit, detail=detail)
 
 
 def intermediate_rank_bruteforce(sg: FiniteSemigroup, budget: SearchBudget | None = None) -> RankValue:
     """Max size of an independent generating set by scanning all subsets (tiny m)."""
-    start = time.monotonic()
     if sg.m > 16:
         raise InvalidParameterError("brute-force intermediate rank is capped at m <= 16")
-    clock = _Clock(budget or SearchBudget())
+    clock = _Clock(budget)
     best: tuple[int, ...] | None = None
     for bits in range(1, 1 << sg.m):
         if not clock.spend():
-            return _finish(RankValue(bounds=(0, sg.m), provenance=PROV_BOUNDS), start)
+            return _rank(sg, clock, bounds=(0, sg.m), provenance=PROV_BOUNDS)
         idx = tuple(iter_bits(bits))
         if best is not None and len(idx) <= len(best):
             continue
@@ -558,11 +520,7 @@ def intermediate_rank_bruteforce(sg: FiniteSemigroup, budget: SearchBudget | Non
             best = idx
     if best is None:
         raise WitnessVerificationError("no independent generating set found")
-    return _finish(
-        RankValue(value=len(best), provenance=PROV_SEARCH, witness=best,
-                  witness_labels=tuple(sg.label_list(best))),
-        start,
-    )
+    return _rank(sg, clock, value=len(best), provenance=PROV_SEARCH, witness=best)
 
 
 # --- r4: upper rank ---------------------------------------------------------------
@@ -589,9 +547,13 @@ def upper_rank_search(
     the ideal of each of its terms, so c is generated by chosen minus c iff
     it is generated by the members in up(c). The tree is the one the
     unfiltered closures give, with far fewer closure extensions.
+
+    Each include passes its child a new ``minus_bits`` list and the new
+    closure of the chosen set, so nothing is restored on the way back but
+    the member lists ``minus_elems`` and ``all_elems``, which
+    ``extend_closure`` grows in place and the search truncates.
     """
-    start = time.monotonic()
-    clock = _Clock(budget or SearchBudget())
+    clock = _Clock(budget)
     rows, cols, ideals = sg.rows, sg.cols, sg.ideals
     m = sg.m
     full_mask = (1 << m) - 1
@@ -615,15 +577,14 @@ def upper_rank_search(
         best_size = len(best)
 
     chosen: list[int] = []
-    minus_bits: list[int] = []
     minus_elems: list[list[int]] = []
     all_elems: list[int] = []
-    state = {"all_bits": 0, "complete": True}
+    complete = True
 
-    def rec(cand: int) -> None:
+    def rec(cand: int, minus_bits: list[int], all_bits: int) -> None:
         # recursion only on include; exclude shrinks cand in place, so the
         # stack depth is bounded by the incumbent size rather than by m
-        nonlocal best_size, best
+        nonlocal best_size, best, complete
         if len(chosen) > best_size:
             best_size = len(chosen)
             best = tuple(chosen)
@@ -631,7 +592,7 @@ def upper_rank_search(
             if len(chosen) + cand.bit_count() <= best_size:
                 return
             if not clock.spend():
-                state["complete"] = False
+                complete = False
                 return
             x = (cand & -cand).bit_length() - 1
             cand &= ~(1 << x)
@@ -649,42 +610,28 @@ def upper_rank_search(
                     ok = False
                     break
             if ok:
-                saved_minus = minus_bits[:]
-                for r, nb in enumerate(new_minus):
-                    minus_bits[r] = nb
-                minus_bits.append(state["all_bits"])
+                # x's own leave-one-out closure is the closure of chosen
+                new_minus.append(all_bits)
                 minus_elems.append(all_elems[:])
-                saved_all = (state["all_bits"], len(all_elems))
-                state["all_bits"] = extend_closure(rows, cols, state["all_bits"], all_elems, x)
+                mark = len(all_elems)
+                new_all = extend_closure(rows, cols, all_bits, all_elems, x)
                 chosen.append(x)
-                rec(cand & comp[x] & ~state["all_bits"])
+                rec(cand & comp[x] & ~new_all, new_minus, new_all)
                 chosen.pop()
-                state["all_bits"] = saved_all[0]
-                del all_elems[saved_all[1]:]
-                minus_bits.pop()
+                del all_elems[mark:]
                 minus_elems.pop()
-                minus_bits[:] = saved_minus
             for r, mark in zip(range(len(new_minus)), marks):
                 del minus_elems[r][mark:]
 
-    rec(full_mask)
+    rec(full_mask, [], 0)
 
     if best:
         if not engine.is_independent(sg, best):
             raise WitnessVerificationError("maximum independent witness failed re-check")
-    labels = tuple(sg.label_list(best)) if best else None
-    if state["complete"]:
-        return _finish(
-            RankValue(value=best_size, provenance=PROV_SEARCH, witness=best or None,
-                      witness_labels=labels),
-            start,
-        )
-    return _finish(
-        RankValue(bounds=(best_size, m), provenance=PROV_BOUNDS,
-                  witness=best or None, witness_labels=labels,
-                  detail="budget exhausted; best witness kept"),
-        start,
-    )
+    if complete:
+        return _rank(sg, clock, value=best_size, provenance=PROV_SEARCH, witness=best or None)
+    return _rank(sg, clock, bounds=(best_size, m), provenance=PROV_BOUNDS, witness=best or None,
+                 detail="budget exhausted; best witness kept")
 
 
 # --- r5: large rank ---------------------------------------------------------------
@@ -726,7 +673,7 @@ def smallest_prime_subset(
         return (next(iter(ind)),), 0
     if size_cap < 2:
         return None, size_cap
-    clock = _Clock(budget or SearchBudget())
+    clock = _Clock(budget)
     pairs = _pairs_into(sg.table)
 
     best: list[tuple[int, ...]] = []
@@ -776,21 +723,17 @@ def large_rank_exact(
     size cap, or the budget runs out first, a bounds-only result notes the
     largest size the search has excluded.
     """
-    start = time.monotonic()
+    clock = _Clock(budget)  # times the result; the prime-subset search keeps its own
     m = sg.m
     if m == 1:
-        return _finish(RankValue(value=1, provenance=PROV_FORMULA,
-                                 detail="one-element semigroup"), start)
+        return _rank(sg, clock, value=1, detail="one-element semigroup")
     cap = size_cap if size_cap is not None else (sg.n if sg.n else min(6, m - 1))
     prime, proven = smallest_prime_subset(sg, cap, budget)
     if prime is None:
         detail = f"no proper prime subset of size <= {proven}"
         if proven < cap:
             detail = f"budget exhausted; {detail}"
-        return _finish(
-            RankValue(bounds=(2, m - proven), provenance=PROV_BOUNDS, detail=detail),
-            start,
-        )
+        return _rank(sg, clock, bounds=(2, m - proven), provenance=PROV_BOUNDS, detail=detail)
     if not engine.is_prime_subset(sg, prime):
         raise WitnessVerificationError("prime subset witness failed re-check")
     prime_bits = 0
@@ -800,12 +743,8 @@ def large_rank_exact(
     complement_bits = sum(1 << i for i in complement)
     if closure_bits(sg.rows, sg.cols, complement_bits) != complement_bits:
         raise WitnessVerificationError("complement of prime subset is not a subsemigroup")
-    return _finish(
-        RankValue(value=m - len(prime) + 1, provenance=PROV_SEARCH, witness=complement,
-                  witness_labels=tuple(sg.label_list(complement)),
-                  detail=f"smallest prime subset {sg.label_list(prime)}"),
-        start,
-    )
+    return _rank(sg, clock, value=m - len(prime) + 1, provenance=PROV_SEARCH,
+                 witness=complement, detail=f"smallest prime subset {sg.label_list(prime)}")
 
 
 # --- the rank planner ---------------------------------------------------------------
@@ -832,7 +771,7 @@ def plan_rank(sg: FiniteSemigroup, key: str, budget: SearchBudget | None = None)
     if key == "r3":
         if n == 1:
             return intermediate_rank_bruteforce(sg, budget)
-        return intermediate_rank_verify(n, budget, sg=sg)
+        return intermediate_rank_verify(sg, budget)
     if key == "r5":
         return large_rank_exact(sg, budget=budget)
     if key != "r4":

@@ -124,9 +124,9 @@ def test_criterion_5_lower_rank(ab2, ab3):
 
 def test_criterion_6_intermediate_rank(ab2, ab3):
     with _Timer() as t:
-        rv2 = intermediate_rank_verify(2, BIG, sg=ab2)
+        rv2 = intermediate_rank_verify(ab2, BIG)
         assert rv2.value == 6 and rv2.provenance == "exact-search"
-        rv3 = intermediate_rank_verify(3, BIG, sg=ab3)
+        rv3 = intermediate_rank_verify(ab3, BIG)
         assert rv3.value == 22
         for n, rv in ((2, rv2), (3, rv3)):
             assert rv.value == n * factorial(n) + 2 * n - 2

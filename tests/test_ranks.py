@@ -141,28 +141,6 @@ def test_witness_v_prime(ab3):
     assert engine.is_prime_subset(ab3, v)
 
 
-def test_witness_qprime(ab2):
-    q = [(0, 0), (0, 1), (1, 1)]
-    w = construct_witness(2, "Qprime", q_subset=q)
-    assert len(w) == 4 * 3
-    assert engine.is_independent(ab2, w)
-
-
-def test_witness_qprime_rejects_dependent_q():
-    # (1,1) = (1,2) + (2,1) inside B_2, so this subset is not independent
-    with pytest.raises(InvalidParameterError):
-        construct_witness(2, "Qprime", q_subset=[(0, 0), (0, 1), (1, 0)])
-
-
-def test_witness_qprime_rejects_zero_and_range():
-    with pytest.raises(InvalidParameterError):
-        construct_witness(2, "Qprime", q_subset=[None])
-    with pytest.raises(InvalidParameterError):
-        construct_witness(2, "Qprime", q_subset=[(2, 0)])
-    with pytest.raises(InvalidParameterError):
-        construct_witness(2, "Qprime", q_subset=[])
-
-
 def test_witness_needs_n_at_least_2():
     with pytest.raises(InvalidParameterError):
         construct_witness(1, "S")
@@ -286,19 +264,19 @@ def test_generating_subset_sweep_none_at_5(ab2):
 
 
 def test_intermediate_rank_n2(ab2):
-    rv = intermediate_rank_verify(2, BIG, sg=ab2)
+    rv = intermediate_rank_verify(ab2, BIG)
     assert rv.value == 6
     assert rv.provenance == PROV_SEARCH
 
 
 def test_intermediate_rank_n3(ab3):
-    rv = intermediate_rank_verify(3, BIG, sg=ab3)
+    rv = intermediate_rank_verify(ab3, BIG)
     assert rv.value == 22
     assert rv.provenance == PROV_WITNESS
 
 
 def test_intermediate_rank_n4(ab4):
-    rv = intermediate_rank_verify(4, sg=ab4)
+    rv = intermediate_rank_verify(ab4)
     assert rv.value == 102
     assert rv.provenance == PROV_WITNESS
 
@@ -306,7 +284,7 @@ def test_intermediate_rank_n4(ab4):
 def test_intermediate_rank_n2_keeps_budget(ab2):
     # one node per stratified candidate: the limit stops the confirmation
     # after the first, and the verified witness still proves the lower bound
-    rv = intermediate_rank_verify(2, SearchBudget(node_limit=1), sg=ab2)
+    rv = intermediate_rank_verify(ab2, SearchBudget(node_limit=1))
     assert not rv.exact and rv.provenance == PROV_BOUNDS
     assert rv.bounds == (6, 29)
     assert len(rv.witness) == 6 and engine.is_independent(ab2, rv.witness)
@@ -318,9 +296,16 @@ def test_intermediate_rank_bruteforce_b1(ab1):
     assert intermediate_rank_bruteforce(ab1, BIG).value == 3
 
 
-def test_intermediate_rank_rejects_n1():
+def test_intermediate_rank_rejects_n1(ab1):
     with pytest.raises(InvalidParameterError):
-        intermediate_rank_verify(1)
+        intermediate_rank_verify(ab1)
+
+
+def test_intermediate_rank_rejects_a_table_without_n(ab2):
+    imported = engine.import_table(engine.export_table(ab2, "csv"))
+    assert imported.n is None
+    with pytest.raises(InvalidParameterError):
+        intermediate_rank_verify(imported)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -328,7 +313,7 @@ def test_independent_generating_witnesses_respect_size_cap(n, ab2, ab3):
     # every independent generating set is capped at n(n!) + 2n - 2
     sg = ab2 if n == 2 else ab3
     cap = n * factorial(n) + 2 * n - 2
-    rv = intermediate_rank_verify(n, BIG, sg=sg)
+    rv = intermediate_rank_verify(sg, BIG)
     assert len(rv.witness) == rv.value <= cap
     sut = construct_witness(n, "S") | construct_witness(n, "T")
     if engine.is_independent(sg, sut) and engine.is_generating(sg, sut):
@@ -376,6 +361,16 @@ def test_upper_rank_budget_exhaustion(ab2):
     assert rv.bounds[0] <= rv.bounds[1] == 29
 
 
+def test_upper_rank_search_tree_size_n2(ab2):
+    # the exact n = 2 search from P2 takes 50,255 nodes; one fewer leaves it
+    # unfinished, so any change to the tree shows here
+    seed = construct_witness(2, "P2")
+    rv = upper_rank_search(ab2, SearchBudget(seconds=600, node_limit=50_255), seed=seed)
+    assert rv.exact and rv.value == 14
+    rv = upper_rank_search(ab2, SearchBudget(seconds=600, node_limit=50_254), seed=seed)
+    assert rv.bounds == (14, 29)
+
+
 def test_upper_rank_rejects_bad_seed(ab2):
     with pytest.raises(WitnessVerificationError):
         upper_rank_search(ab2, BIG, seed=[0, ab2.index_of("xi(1,2)")])
@@ -417,6 +412,18 @@ def test_plan_rank_r4_n2_merges_an_unfinished_search(ab2):
     rv = plan_rank(ab2, "r4", SearchBudget(seconds=600, node_limit=50))
     assert rv.bounds == (14, 23)
     assert len(rv.witness) == 14 and engine.is_independent(ab2, rv.witness)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("key", ["r1", "r2", "r3", "r4", "r5"])
+def test_plan_rank_labels_and_times_every_result(n, key, ab1, ab2, ab3):
+    sg = (ab1, ab2, ab3)[n - 1]
+    rv = plan_rank(sg, key, SearchBudget(seconds=600, node_limit=20_000))
+    if rv.witness:
+        assert rv.witness_labels == tuple(sg.label_list(rv.witness))
+    else:
+        assert rv.witness_labels is None
+    assert rv.elapsed_ms >= 0
 
 
 def test_plan_rank_r4_closed_form_from_n6():
