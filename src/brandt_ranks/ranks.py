@@ -317,16 +317,15 @@ def first_factor_lower_bound(sg: FiniteSemigroup) -> tuple[int, list[int]]:
     For every element f, any generating set must contain f itself or some a
     that opens a two-term product a + b = f. A family of elements whose
     first-factor sets are pairwise disjoint therefore bounds the minimum
-    generating size from below; a greedy pass picks such a family.
+    generating size from below; a greedy pass picks such a family. Each a
+    is marked once per distinct sum in its row (about 16 of the 657 at n = 4).
     """
-    rows = sg.rows
     m = sg.m
     first = [1 << f for f in range(m)]
-    for a in range(m):
-        row = rows[a]
+    for a, row in enumerate(sg.rows):
         abit = 1 << a
-        for b in range(m):
-            first[row[b]] |= abit
+        for c in set(row):
+            first[c] |= abit
     order = sorted(range(m), key=lambda f: (first[f].bit_count(), f))
     taken = 0
     picks: list[int] = []

@@ -36,9 +36,7 @@ from .brandt import bn_index, check_n
 from .engine import FiniteSemigroup, IndexSet
 from .errors import WitnessVerificationError
 from .ranks import (
-    PROV_BOUNDS,
     RankReport,
-    RankValue,
     SearchBudget,
     _small_rank_bruteforce,
     construct_witness,
@@ -169,8 +167,11 @@ def _greens_nsupport_count(n: int, r_classes: list[list[int]]) -> str:
 def _support_sum_bound(n: int, sg: FiniteSemigroup) -> str:
     """|supp(f+g)| <= |supp(f)| and <= |supp(g)|, exhaustively.
 
-    The sums are read from the Cayley table, which was built from the same
-    ``add_maps`` calls; sizes are at most n*n + 1, so int8 holds them.
+    The sums are read from the Cayley table, whose x + g columns come from
+    ``add_maps`` and whose other columns are composed from them
+    (``FiniteSemigroup.from_elements``); the tests compare that table with
+    one ``add_maps`` call per pair up to n = 4. Sizes are at most n*n + 1,
+    so int8 holds them.
     """
     elems = enumerate_a_plus(n)
     sizes = np.array([support_size(n, e) for e in elems], dtype=np.int8)
@@ -327,13 +328,12 @@ def verify_all(n: int, budget: SearchBudget | None = None) -> VerificationReport
     runner.run("rank-r5", check_r5)
 
     def check_r4() -> str:
-        formula = formulas.ranks["r4"]
         if 3 <= n <= 5:  # the open search is left to search-r4
-            ranks.ranks["r4"] = RankValue(
-                bounds=formula.bounds, provenance=PROV_BOUNDS,
-                detail="independent-set construction vs stratified cap",
-            )
-            return f"r4 in [{formula.lower}, {formula.upper}]"
+            rv = rank_formulas(n).ranks["r4"]
+            rv.detail = "independent-set construction vs stratified cap"
+            ranks.ranks["r4"] = rv
+            return f"r4 in [{rv.lower}, {rv.upper}]"
+        formula = formulas.ranks["r4"]
         rv = plan_rank(sg, "r4", remaining())
         ranks.ranks["r4"] = rv
         if formula.exact:  # searched at n = 1, the closed form itself for n >= 6

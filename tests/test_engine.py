@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 
@@ -7,8 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brandt_ranks import engine
-from brandt_ranks.affine import NSupport, enumerate_a_plus
-from brandt_ranks.brandt import brandt_semigroup
+from brandt_ranks.affine import (
+    Const,
+    ConstZero,
+    NSupport,
+    a_plus_semigroup,
+    add_maps,
+    enumerate_a_plus,
+    map_label,
+)
+from brandt_ranks.brandt import bn_add, bn_elements, brandt_semigroup
 from brandt_ranks.engine import (
     FiniteSemigroup,
     IndexSet,
@@ -74,9 +83,69 @@ def test_from_elements_b2(b2):
     assert b2.table.shape == (5, 5)
 
 
-def test_from_elements_a_plus(ab2, ab3):
+def test_a_plus_semigroup_element_counts(ab2, ab3):
     assert ab2.m == 29
     assert ab3.m == 145
+
+
+def _per_pair_rows(elements, add_fn):
+    """Reference loop: one ``add_fn`` call per pair, rows[a][b] = a + b."""
+    index = {e: i for i, e in enumerate(elements)}
+    return [[index[add_fn(a, b)] for b in elements] for a in elements]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_plus_table_equals_the_per_pair_table(n):
+    rows = _per_pair_rows(enumerate_a_plus(n), functools.partial(add_maps, n))
+    assert a_plus_semigroup(n).rows == rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_brandt_table_equals_the_per_pair_table(n):
+    rows = _per_pair_rows(bn_elements(n), functools.partial(bn_add, n))
+    assert brandt_semigroup(n).rows == rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_constants_table_equals_the_per_pair_table(n):
+    consts = [e for e in enumerate_a_plus(n) if isinstance(e, (ConstZero, Const))]
+    add = functools.partial(add_maps, n)
+    assert FiniteSemigroup.from_elements(consts, add).rows == _per_pair_rows(consts, add)
+
+
+@pytest.mark.parametrize("n, calls", [(2, 348), (3, 4_785), (4, 78_840)])
+def test_from_elements_calls_add_fn_only_for_generator_columns(n, calls):
+    elems = enumerate_a_plus(n)
+    index = {e: i for i, e in enumerate(elems)}
+    right = []
+
+    def add(f, g):
+        right.append(index[g])
+        return add_maps(n, f, g)
+
+    sg = FiniteSemigroup.from_elements(elems, add, [map_label(f) for f in elems], n=n)
+    gens = sorted(set(right))
+    assert len(right) == calls == sg.m * len(gens)  # |G| = 12, 33, 120
+    assert sg == a_plus_semigroup(n)
+    # G is the greedy generating set: each g lies outside the closure of the
+    # earlier ones, and together they generate everything
+    bits, members = 0, []
+    for g in gens:
+        assert not bits >> g & 1
+        bits = extend_closure(sg.rows, sg.cols, bits, members, g)
+    assert bits == (1 << sg.m) - 1
+
+
+def test_from_elements_names_both_labels_of_a_sum_outside_the_list():
+    nsupport = [f for f in enumerate_a_plus(2) if isinstance(f, NSupport)]
+    labels = [map_label(f) for f in nsupport]
+    with pytest.raises(ClosureViolationError) as err:
+        FiniteSemigroup.from_elements(nsupport, functools.partial(add_maps, 2), labels)
+    left, right = err.value.left_label, err.value.right_label
+    assert (left, right) == ("ns(1,1;[1,2])", "ns(1,1;[1,2])")
+    assert f"sum of {left!r} and {right!r}" in str(err.value)
+    total = add_maps(2, nsupport[labels.index(left)], nsupport[labels.index(right)])
+    assert total not in nsupport
 
 
 def test_from_elements_closure_violation():

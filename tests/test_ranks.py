@@ -191,6 +191,26 @@ def test_first_factor_bounds(ab2, ab3):
     assert first_factor_lower_bound(ab3)[0] == 21
 
 
+def _first_factor_per_pair(sg):
+    """Reference loop: every pair (a, b) marks a as a first factor of a + b."""
+    first = [1 << f for f in range(sg.m)]
+    for a in range(sg.m):
+        for b in range(sg.m):
+            first[sg.rows[a][b]] |= 1 << a
+    taken, picks = 0, []
+    for f in sorted(range(sg.m), key=lambda f: (first[f].bit_count(), f)):
+        if not first[f] & taken:
+            taken |= first[f]
+            picks.append(f)
+    return len(picks), sorted(picks)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_first_factor_bound_matches_a_per_pair_loop(n, request):
+    sg = request.getfixturevalue(f"ab{n}")
+    assert first_factor_lower_bound(sg) == _first_factor_per_pair(sg)
+
+
 def test_lower_rank_b2_matches_exhaustive_oracle(b2):
     # oracle: scan subsets by size for the first generating one
     oracle = None

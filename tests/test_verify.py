@@ -71,6 +71,12 @@ def test_verify_reports_the_planned_ranks(n):
             assert got == _untimed(plan_rank(sg, key, BIG)), key
 
 
+def test_verify_times_the_r4_bounds_it_leaves_open():
+    rv = verify_all(3, BIG).ranks.ranks["r4"]
+    assert rv.bounds == rank_formulas(3).ranks["r4"].bounds
+    assert rv.elapsed_ms > 0
+
+
 def test_verify_computes_the_r_classes_once(monkeypatch):
     sides = []
     greens_classes = engine.greens_classes
