@@ -184,12 +184,7 @@ class FiniteSemigroup:
         members from ``cols``. Built on first use (about 1 ms at n = 3 and
         20 ms at n = 4), so tables that never test independence skip it.
         """
-        left = []
-        for u, col in enumerate(self.cols):
-            bits = 1 << u
-            for c in set(col):
-                bits |= 1 << c
-            left.append(bits)
+        left = _one_sided_ideals(self.cols)
         out = []
         for x, row in enumerate(self.rows):
             bits = left[x]
@@ -300,9 +295,15 @@ class FiniteSemigroup:
 #   verify-n2 wall_s (s)   2.12    1.83    1.80    1.79    1.81    1.80
 #   search-r4-n3 nodes/s  3.09k   3.09k   3.01k   3.10k   2.83k   1.87k
 # 16 to 32 are alike within the noise; 24 sits in the middle of that range.
-# The sweep predates the ideal filter of the leave-one-out closures
+# That sweep predates the ideal filter of the leave-one-out closures
 # (``independent_bits``, ``ranks.upper_rank_search``), which leaves far fewer
-# and mostly smaller extensions; it has not been repeated since.
+# and mostly smaller extensions. The two extremes were checked again after
+# it (same VM, nominal speed, two 15 s runs per value):
+#   threshold                 0      24   never
+#   verify-n2 wall_s (s)   1.40    1.17    1.15
+#   search-r4-n3 nodes/s  41.4k   42.0k   29.2k
+#   verify-n4 wall_s (s)   0.73    0.76    0.86
+# Small sets still favour the loop and large ones the set, so 24 stays.
 SCAN_SET_MIN = 24
 
 
@@ -425,6 +426,18 @@ def is_independent(sg: FiniteSemigroup, subset) -> bool:
 # --- structural predicates ---------------------------------------------------
 
 
+def _one_sided_ideals(lines: list[list[int]]) -> list[int]:
+    """Bitmask of {a} ∪ set(lines[a]) for each a: the principal right ideal
+    {a} ∪ (a + S) when ``lines`` is ``rows``, the left one for ``cols``."""
+    out = []
+    for a, line in enumerate(lines):
+        bits = 1 << a
+        for c in set(line):
+            bits |= 1 << c
+        out.append(bits)
+    return out
+
+
 def greens_classes(sg: FiniteSemigroup, side: Literal["R", "L"]) -> list[list[int]]:
     """Partition of [0, m) by equality of principal one-sided ideals.
 
@@ -434,12 +447,8 @@ def greens_classes(sg: FiniteSemigroup, side: Literal["R", "L"]) -> list[list[in
     """
     if side not in ("R", "L"):
         raise InvalidParameterError("side must be 'R' or 'L'")
-    lines = sg.rows if side == "R" else sg.cols
     sigs: dict[int, list[int]] = {}
-    for a in range(sg.m):
-        bits = 1 << a
-        for c in lines[a]:
-            bits |= 1 << c
+    for a, bits in enumerate(_one_sided_ideals(sg.rows if side == "R" else sg.cols)):
         sigs.setdefault(bits, []).append(a)
     return sorted(sigs.values())
 

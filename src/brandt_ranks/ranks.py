@@ -336,45 +336,6 @@ def first_factor_lower_bound(sg: FiniteSemigroup) -> tuple[int, list[int]]:
     return len(picks), sorted(picks)
 
 
-def _sweep_generating_subsets(
-    rows: list[list[int]], cols: list[list[int]], m: int, k: int, clock: _Clock
-) -> tuple[bool, list[tuple[int, ...]]]:
-    """DFS over ascending-index subsets of size <= k with incremental closure.
-
-    Stops at the first visited prefix whose closure is the whole semigroup
-    (so it may be shorter than k). Returns (completed, found), where found
-    holds that prefix or is empty.
-    """
-    found: list[tuple[int, ...]] = []
-    elems: list[int] = []
-    chosen: list[int] = []
-
-    def rec(start: int, bits: int, depth: int) -> bool:
-        # False stops the sweep: a generating prefix was found or the budget ran out
-        limit = m - (k - depth) + 1
-        for i in range(start, limit):
-            if not clock.spend():
-                return False
-            mark = len(elems)
-            nb = extend_closure(rows, cols, bits, elems, i)
-            chosen.append(i)
-            if len(elems) == m:
-                found.append(tuple(chosen))
-                return False
-            if depth + 1 < k and not rec(i + 1, nb, depth + 1):
-                return False
-            chosen.pop()
-            del elems[mark:]
-        return True
-
-    completed = rec(0, 0, 0)
-    return completed or bool(found), found
-
-
-def _sweep_node_estimate(m: int, k: int) -> int:
-    return sum(comb(m, d) for d in range(1, k + 1))
-
-
 def lower_rank_exact(
     sg: FiniteSemigroup,
     budget: SearchBudget | None = None,
@@ -382,67 +343,75 @@ def lower_rank_exact(
 ) -> RankValue:
     """Exact minimum generating set size, with witness.
 
-    With a known generating witness of size t, a single exhaustive sweep of
-    all (t-1)-subsets settles exactness (a smaller generating set would
-    extend to a generating (t-1)-subset). Without one, iterative deepening
-    from the first-factor lower bound finds the minimum; the first witness
-    found is the lexicographically smallest. Budget exhaustion yields
-    (proven lower, best upper) bounds.
+    One ascending sweep: for k from the first-factor lower bound up, a
+    depth-first walk over ascending-index prefixes of k-subsets, with
+    incremental closure, looks for a generating set (any generating set of
+    at most k elements extends to a generating k-subset, so the walk stops
+    at the first generating prefix). The first set found is the
+    lexicographically smallest of minimum size. A known generating witness
+    of size t caps the sweep at t - 1: if no smaller set generates, the
+    witness is minimal. A level whose node count could exceed what is left
+    of the budget is not started, and a level the budget cuts short proves
+    nothing about its own size; either way the result is (proven lower,
+    best upper) bounds, unless the lower bound already meets the witness.
     """
     clock = _Clock(budget)
     rows, cols = sg.rows, sg.cols
     m = sg.m
+    full = (1 << m) - 1
     lb, _family = first_factor_lower_bound(sg)
     lb = max(lb, 1)
 
     wit: tuple[int, ...] | None = None
     if witness is not None:
         bits = engine._coerce_bits(sg, witness)
-        if closure_bits(rows, cols, bits) != (1 << m) - 1:
+        if closure_bits(rows, cols, bits) != full:
             raise WitnessVerificationError("provided witness does not generate")
         wit = tuple(iter_bits(bits))
+    top = len(wit) - 1 if wit else m
 
-    def done(value: int, w: tuple[int, ...], prov: str, detail: str = "") -> RankValue:
-        if closure_bits(rows, cols, sum(1 << i for i in w)) != (1 << m) - 1:
+    def done(w: tuple[int, ...], prov: str, detail: str = "") -> RankValue:
+        if closure_bits(rows, cols, sum(1 << i for i in w)) != full:
             raise WitnessVerificationError("minimum generating witness failed re-check")
-        return _rank(sg, clock, value=value, provenance=prov, witness=w, detail=detail)
+        return _rank(sg, clock, value=len(w), provenance=prov, witness=w, detail=detail)
 
-    def bounded(lower: int, upper: int, detail: str) -> RankValue:
-        # the best generating set found so far, if any, proves the upper bound
-        return _rank(sg, clock, bounds=(lower, upper), provenance=PROV_BOUNDS, witness=wit,
-                     detail=detail)
+    chosen: list[int] = []
+    elems: list[int] = []
 
-    if wit is not None:
-        while True:
-            k = len(wit) - 1
-            if k == 0:
-                return done(1, wit, PROV_SEARCH, "single generator")
-            if lb == len(wit) and _sweep_node_estimate(m, k) > clock.nodes_left:
-                return done(len(wit), wit, PROV_WITNESS,
-                            f"first-factor lower bound {lb} matches witness size")
-            if _sweep_node_estimate(m, k) > clock.nodes_left:
-                return bounded(lb, len(wit), f"sweep of {k}-subsets exceeds node budget")
-            completed, found = _sweep_generating_subsets(rows, cols, m, k, clock)
-            if found:
-                wit = found[0]  # smaller generating set; tighten and repeat
-                continue
-            if completed:
-                return done(len(wit), wit, PROV_SEARCH,
-                            f"no generating subset of size {k} (exhaustive)")
-            if lb == len(wit):
-                return done(len(wit), wit, PROV_WITNESS,
-                            f"first-factor lower bound {lb} matches witness size")
-            return bounded(lb, len(wit), "budget exhausted mid-sweep")
+    def sweep(start: int, bits: int, left: int) -> bool:
+        # ``left`` more elements to pick; False stops the sweep: the chosen
+        # prefix generates, or the budget ran out
+        for i in range(start, m - left + 1):
+            if not clock.spend():
+                return False
+            mark = len(elems)
+            nb = extend_closure(rows, cols, bits, elems, i)
+            chosen.append(i)
+            if len(elems) == m or left > 1 and not sweep(i + 1, nb, left - 1):
+                return False
+            chosen.pop()
+            del elems[mark:]
+        return True
 
-    for k in range(lb, m + 1):
-        if _sweep_node_estimate(m, k) > clock.nodes_left:
-            return bounded(k, m, f"sweep of {k}-subsets exceeds node budget")
-        completed, found = _sweep_generating_subsets(rows, cols, m, k, clock)
-        if found:
-            return done(len(found[0]), found[0], PROV_SEARCH)
-        if not completed:
-            return bounded(k, m, "budget exhausted mid-sweep")
-    raise WitnessVerificationError("the full element set failed to generate itself")
+    for k in range(min(lb, top), top + 1):
+        if sum(comb(m, d) for d in range(1, k + 1)) > clock.nodes_left:
+            detail = f"sweep of {k}-subsets exceeds node budget"
+            break
+        if k and not sweep(0, 0, k):  # k = 0: the empty set generates nothing
+            if clock.ok:
+                return done(tuple(chosen), PROV_SEARCH)
+            detail = "budget exhausted mid-sweep"
+            break
+    else:
+        # every size below the witness was swept (without a witness, the
+        # sweep of all m elements always finds a generating set)
+        detail = f"no generating subset of size {top} (exhaustive)" if top else "single generator"
+        return done(wit, PROV_SEARCH, detail)
+    if wit and lb == len(wit):
+        return done(wit, PROV_WITNESS, f"first-factor lower bound {lb} matches witness size")
+    # the best generating set known, if any, proves the upper bound
+    return _rank(sg, clock, bounds=(max(lb, k), len(wit) if wit else m), provenance=PROV_BOUNDS,
+                 witness=wit, detail=detail)
 
 
 # --- r3: intermediate rank -------------------------------------------------------
@@ -557,15 +526,14 @@ def upper_rank_search(
     m = sg.m
     full_mask = (1 << m) - 1
 
+    # comp[i]: the j with j not in <i> and i not in <j>; in_cyc is the
+    # transpose of the cyclic closures (bit j of in_cyc[i] iff i in <j>)
     cyc = [closure_bits(rows, cols, 1 << i) for i in range(m)]
-    comp: list[int] = []
-    for i in range(m):
-        mask = 0
-        ci = cyc[i]
-        for j in range(m):
-            if j != i and not ci >> j & 1 and not cyc[j] >> i & 1:
-                mask |= 1 << j
-        comp.append(mask)
+    in_cyc = [0] * m
+    for j, c in enumerate(cyc):
+        for i in iter_bits(c):
+            in_cyc[i] |= 1 << j
+    comp = [full_mask & ~c & ~t for c, t in zip(cyc, in_cyc)]
 
     best_size = 0
     best: tuple[int, ...] = ()
@@ -710,23 +678,22 @@ def smallest_prime_subset(
     return None, size_cap
 
 
-def large_rank_exact(
-    sg: FiniteSemigroup, size_cap: int | None = None, budget: SearchBudget | None = None
-) -> RankValue:
+def large_rank_exact(sg: FiniteSemigroup, budget: SearchBudget | None = None) -> RankValue:
     """r5 via the smallest proper prime subset: r5 = m - |U*| + 1.
 
     The complement of a smallest proper prime subset is a largest proper
     subsemigroup, and forcing generation needs one more element than its
     size. An indecomposable element forms a singleton prime subset, so its
-    presence gives r5 = m immediately. If no prime subset exists below the
-    size cap, or the budget runs out first, a bounds-only result notes the
-    largest size the search has excluded.
+    presence gives r5 = m immediately. The search stops at a size cap of n
+    for A+(B_n), else min(6, m - 1). If no prime subset exists up to the cap,
+    or the budget runs out first, a bounds-only result notes the largest
+    size the search has excluded.
     """
     clock = _Clock(budget)  # times the result; the prime-subset search keeps its own
     m = sg.m
     if m == 1:
         return _rank(sg, clock, value=1, detail="one-element semigroup")
-    cap = size_cap if size_cap is not None else (sg.n if sg.n else min(6, m - 1))
+    cap = sg.n if sg.n else min(6, m - 1)
     prime, proven = smallest_prime_subset(sg, cap, budget)
     if prime is None:
         detail = f"no proper prime subset of size <= {proven}"
@@ -772,7 +739,7 @@ def plan_rank(sg: FiniteSemigroup, key: str, budget: SearchBudget | None = None)
             return intermediate_rank_bruteforce(sg, budget)
         return intermediate_rank_verify(sg, budget)
     if key == "r5":
-        return large_rank_exact(sg, budget=budget)
+        return large_rank_exact(sg, budget)
     if key != "r4":
         raise InvalidParameterError(f"unknown rank {key!r}; expected one of {RANK_KEYS}")
     if n == 1:

@@ -305,7 +305,8 @@ def verify_all(n: int, budget: SearchBudget | None = None) -> VerificationReport
         ranks.ranks["r2"] = rv
         expected = formulas.ranks["r2"].value
         _require(rv.exact and rv.value == expected, f"r2 {rv.value or rv.bounds} != {expected}")
-        return f"r2 = {rv.value} ({rv.provenance}; {rv.detail})"
+        detail = f"; {rv.detail}" if rv.detail else ""
+        return f"r2 = {rv.value} ({rv.provenance}{detail})"
 
     runner.run("rank-r2", check_r2)
 

@@ -1,8 +1,8 @@
 """Import hygiene: every name an import binds is read somewhere in its module.
 
 Covers the library modules (not the package ``__init__``, whose imports are
-its exports), the scripts and the tests. A name counts as read when it is
-loaded anywhere in the module, including inside a string annotation.
+its exports) and the tests. A name counts as read when it is loaded anywhere
+in the module, including inside a string annotation.
 """
 
 import ast
@@ -13,7 +13,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     [p for p in (ROOT / "src" / "brandt_ranks").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "scripts").glob("*.py"))
     + list((ROOT / "tests").glob("*.py"))
 )
 

@@ -267,6 +267,48 @@ def test_lower_rank_budget_exhaustion(ab2):
     assert rv.bounds == (6, 7)
 
 
+@pytest.mark.parametrize(
+    "node_limit, provenance, detail",
+    [
+        # 146,595 = C(29, 1) + ... + C(29, 5), the most nodes the 5-subset sweep can visit
+        (146_595, PROV_SEARCH, "no generating subset of size 5 (exhaustive)"),
+        (146_594, PROV_WITNESS, "first-factor lower bound 6 matches witness size"),
+    ],
+    ids=["sweep-fits", "one-node-short"],
+)
+def test_lower_rank_sweeps_only_within_the_node_budget(ab2, node_limit, provenance, detail):
+    wit = construct_witness(2, "S") | construct_witness(2, "T")
+    rv = lower_rank_exact(ab2, SearchBudget(seconds=600, node_limit=node_limit), witness=wit)
+    assert rv.value == 6
+    assert (rv.provenance, rv.detail) == (provenance, detail)
+    assert set(rv.witness) == set(wit)
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [None, tuple(range(29)), (2, 3, 5, 22, 23, 25, 28)],
+    ids=["no-witness", "all-29-elements", "S-T-plus-element-5"],
+)
+def test_lower_rank_finds_the_first_minimum_below_any_witness(ab2, witness):
+    # the sweep rises from the first-factor bound 6 whatever the witness size,
+    # so a witness too large to sweep below still gives the exact value
+    rv = lower_rank_exact(ab2, BIG, witness=witness)
+    assert rv.value == 6
+    assert rv.provenance == PROV_SEARCH
+    assert rv.witness == (2, 3, 21, 22, 25, 26)
+    assert rv.detail == ""
+
+
+def test_lower_rank_deadline_mid_sweep_keeps_the_witness(ab2):
+    # a 1 us budget is gone before the first sweep node
+    wit = construct_witness(2, "S") | construct_witness(2, "T")
+    wit.add(5)
+    rv = lower_rank_exact(ab2, SearchBudget(seconds=1e-6), witness=wit)
+    assert rv.bounds == (6, 7)
+    assert rv.detail == "budget exhausted mid-sweep"
+    assert set(rv.witness) == set(wit)
+
+
 def test_lower_rank_rejects_non_generating_witness(ab2):
     with pytest.raises(WitnessVerificationError):
         lower_rank_exact(ab2, BIG, witness=[0, 1, 2])
@@ -525,16 +567,15 @@ def test_large_rank_one_element():
 
 
 def test_large_rank_cap_bounds():
-    # right-zero semigroup: a + b = b; every element decomposable (a + b = b
-    # with a free), and {x} prime for each x, so a cap below 1 cannot apply;
-    # force the bounds path with a semigroup whose smallest prime set is big.
-    # Z_4 under addition: primes must catch 1 = 2+3, 2 = 1+1, 3 = 1+2, 0 = 2+2
-    z4 = FiniteSemigroup(
-        ["0", "1", "2", "3"], [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    # Z_11 under addition: its only proper subsemigroup is {0}, so its
+    # smallest proper prime subset has 10 elements, above the cap min(6, m - 1)
+    z11 = FiniteSemigroup(
+        [str(i) for i in range(11)], [[(i + j) % 11 for j in range(11)] for i in range(11)]
     )
-    rv = large_rank_exact(z4, size_cap=1)
+    rv = large_rank_exact(z11)
     assert not rv.exact
-    assert rv.bounds[1] == 3
+    assert rv.bounds == (2, 5)
+    assert rv.detail == "no proper prime subset of size <= 6"
 
 
 def test_chain_violation_detection():

@@ -1,9 +1,5 @@
 import dataclasses
-import os
-import subprocess
-import sys
 import types
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +10,6 @@ from brandt_ranks.errors import WitnessVerificationError
 from brandt_ranks.ranks import PROV_BOUNDS, RANK_KEYS, RankValue, SearchBudget, plan_rank, rank_formulas
 from brandt_ranks.verify import _support_sum_bound, verify_all
 
-ROOT = Path(__file__).resolve().parent.parent
 BIG = SearchBudget(seconds=600.0, node_limit=10**9)
 
 
@@ -88,14 +83,3 @@ def test_verify_computes_the_r_classes_once(monkeypatch):
     monkeypatch.setattr(engine, "greens_classes", counted)
     assert verify_all(1, BIG).ok
     assert sides == ["R", "L"]
-
-
-def test_verify_small_cases_script_runs():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "verify_small_cases.py"), "--max-n", "2"],
-        capture_output=True, text=True, env=env, timeout=600,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("overall: ok") == 2
