@@ -16,7 +16,7 @@ from pathlib import Path
 from . import engine
 from .affine import a_plus_semigroup, a_plus_size
 from .errors import InvalidParameterError
-from .ranks import RankReport, SearchBudget, plan_rank, rank_formulas
+from .ranks import RankReport, SearchBudget, closed_form_rank, plan_rank, rank_formulas
 from .verify import nsupport_r_class_count, verify_all
 
 EXIT_OK = 0
@@ -161,7 +161,10 @@ def _print_rank(report: RankReport, fmt: str, verbose: int = 0) -> None:
 def _print_planned(args, key: str) -> int:
     budget = _budget(args)
     report = RankReport(n=args.n)
-    rv = report.ranks[key] = plan_rank(a_plus_semigroup(args.n), key, budget)
+    rv = closed_form_rank(args.n, key)
+    if rv is None:
+        rv = plan_rank(a_plus_semigroup(args.n), key, budget)
+    report.ranks[key] = rv
     _print_rank(report, args.format, args.verbose)
     return EXIT_OK if rv.exact else EXIT_BUDGET
 

@@ -506,20 +506,25 @@ def upper_rank_search(
     candidates|. ``seed`` may prime the incumbent with a known independent
     set; it is verified first and only strengthens pruning.
 
-    For each chosen member c the search keeps a leave-one-out closure
-    ``minus_bits[r]`` (c = chosen[r]): the closure of some G_r with
+    For each chosen member c = chosen[r] (r = slot[c]) the search keeps a
+    leave-one-out closure ``minus_bits[r]``: the closure of some G_r with
     (chosen minus c) ∩ up(c) ⊆ G_r ⊆ chosen minus c, where up(c) is the set
     of elements whose principal ideal holds c (``FiniteSemigroup.ideals``).
-    A new member x extends only the closures of the c in its own ideal. The
-    test "c in minus_bits[r]" stays exact, because a sum equal to c lies in
-    the ideal of each of its terms, so c is generated by chosen minus c iff
-    it is generated by the members in up(c). The tree is the one the
-    unfiltered closures give, with far fewer closure extensions.
+    A new member x extends only the closures of the c in
+    ``ideals[x] & chosen_bits``. The test "c in minus_bits[r]" stays exact,
+    because a sum equal to c lies in the ideal of each of its terms, so c is
+    generated by chosen minus c iff it is generated by the members in up(c);
+    an untouched closure is unchanged and does not hold its c. Those c are
+    visited lowest bit first, which is their order in ``chosen``, since x is
+    always the lowest bit of ``cand`` and every path appends members in
+    ascending order. So the tree and the sequence of closure extensions are
+    those of a walk over all of ``chosen``, while the Python work of a node
+    follows the members it reaches, not |chosen|.
 
-    Each include passes its child a new ``minus_bits`` list and the new
-    closure of the chosen set, so nothing is restored on the way back but
-    the member lists ``minus_elems`` and ``all_elems``, which
-    ``extend_closure`` grows in place and the search truncates.
+    Each include passes its child a copy of ``minus_bits`` with the touched
+    slots replaced, and the new closure and bitmask of the chosen set; on
+    the way back only the member lists that ``extend_closure`` grew in place
+    (``all_elems`` and the touched ``minus_elems``) are truncated.
     """
     clock = _Clock(budget)
     rows, cols, ideals = sg.rows, sg.cols, sg.ideals
@@ -544,11 +549,12 @@ def upper_rank_search(
         best_size = len(best)
 
     chosen: list[int] = []
+    slot = [0] * m  # slot[c] = r for the chosen member c = chosen[r]
     minus_elems: list[list[int]] = []
     all_elems: list[int] = []
     complete = True
 
-    def rec(cand: int, minus_bits: list[int], all_bits: int) -> None:
+    def rec(cand: int, minus_bits: list[int], all_bits: int, chosen_bits: int) -> None:
         # recursion only on include; exclude shrinks cand in place, so the
         # stack depth is bounded by the incumbent size rather than by m
         nonlocal best_size, best, complete
@@ -564,33 +570,39 @@ def upper_rank_search(
             x = (cand & -cand).bit_length() - 1
             cand &= ~(1 << x)
 
-            ideal = ideals[x]
-            marks = [len(e) for e in minus_elems]
-            new_minus: list[int] = []
-            ok = True
-            for r, c in enumerate(chosen):
-                nb = minus_bits[r]
-                if ideal >> c & 1:  # otherwise x is no factor of any sum equal to c
-                    nb = extend_closure(rows, cols, nb, minus_elems[r], x)
-                new_minus.append(nb)
+            # x is no factor of any sum equal to a c outside its ideal
+            reach = ideals[x] & chosen_bits
+            touched: list[tuple[int, int, int]] = []  # (r, mark, new closure)
+            while reach:
+                low = reach & -reach
+                reach ^= low
+                c = low.bit_length() - 1
+                r = slot[c]
+                elems = minus_elems[r]
+                mark = len(elems)
+                nb = extend_closure(rows, cols, minus_bits[r], elems, x)
+                touched.append((r, mark, nb))
                 if nb >> c & 1:
-                    ok = False
                     break
-            if ok:
+            else:  # no chosen member is generated by the others with x
+                new_minus = minus_bits[:]
+                for r, _, nb in touched:
+                    new_minus[r] = nb
                 # x's own leave-one-out closure is the closure of chosen
                 new_minus.append(all_bits)
                 minus_elems.append(all_elems[:])
                 mark = len(all_elems)
                 new_all = extend_closure(rows, cols, all_bits, all_elems, x)
+                slot[x] = len(chosen)
                 chosen.append(x)
-                rec(cand & comp[x] & ~new_all, new_minus, new_all)
+                rec(cand & comp[x] & ~new_all, new_minus, new_all, chosen_bits | 1 << x)
                 chosen.pop()
                 del all_elems[mark:]
                 minus_elems.pop()
-            for r, mark in zip(range(len(new_minus)), marks):
+            for r, mark, _ in touched:
                 del minus_elems[r][mark:]
 
-    rec(full_mask, [], 0)
+    rec(full_mask, [], 0, 0)
 
     if best:
         if not engine.is_independent(sg, best):
@@ -716,6 +728,15 @@ def large_rank_exact(sg: FiniteSemigroup, budget: SearchBudget | None = None) ->
 # --- the rank planner ---------------------------------------------------------------
 
 
+def closed_form_rank(n: int, key: str) -> RankValue | None:
+    """The rank ``plan_rank`` reads from ``rank_formulas`` without the table
+    (r4 for n >= 6, where m = 27,253 and up), else None."""
+    if key != "r4" or n == 1:
+        return None
+    formula = rank_formulas(n).ranks["r4"]
+    return formula if formula.exact else None
+
+
 def plan_rank(sg: FiniteSemigroup, key: str, budget: SearchBudget | None = None) -> RankValue:
     """Rank ``key`` (r1..r5) of A+(B_n), n = sg.n; every choice of method is made here.
 
@@ -744,9 +765,10 @@ def plan_rank(sg: FiniteSemigroup, key: str, budget: SearchBudget | None = None)
         raise InvalidParameterError(f"unknown rank {key!r}; expected one of {RANK_KEYS}")
     if n == 1:
         return upper_rank_search(sg, budget)
+    closed = closed_form_rank(n, key)
+    if closed is not None:
+        return closed
     formula = rank_formulas(n).ranks["r4"]
-    if formula.exact:
-        return formula
     rv = upper_rank_search(sg, budget, seed=construct_witness(n, "P2" if n == 2 else "I"))
     if not rv.exact:
         rv.bounds = (max(rv.lower, formula.lower), min(rv.upper, formula.upper))

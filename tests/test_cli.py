@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from brandt_ranks import cli
 from brandt_ranks.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -97,6 +98,18 @@ def test_search_r4_exact_n2(capsys):
     code, out, _ = invoke(capsys, "search-r4", "--n", "2", "--budget", "300")
     assert code == EXIT_OK
     assert re.search(r"r4 = \d+", out)
+
+
+def test_search_r4_closed_form_builds_no_table(capsys, monkeypatch):
+    # r4 is the closed form for n >= 6; the n = 6 table (m = 27,253) is never built
+    def no_table(n):
+        raise AssertionError(f"built the table of A+(B_{n})")
+
+    monkeypatch.setattr(cli, "a_plus_semigroup", no_table)
+    code, out, _ = invoke(capsys, "search-r4", "--n", "6", "--format", "json")
+    assert code == EXIT_OK
+    r4 = json.loads(out)["ranks"]["r4"]
+    assert (r4["value"], r4["provenance"]) == (25926, "formula")
 
 
 def test_verify_n1(capsys):

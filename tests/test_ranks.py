@@ -1,13 +1,15 @@
 import itertools
+import json
 import types
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_engine import small_tables
 
-from brandt_ranks import engine
+from brandt_ranks import engine, ranks
 from brandt_ranks.affine import Const, ConstZero, add_maps, enumerate_a_plus, map_label
 from brandt_ranks.engine import FiniteSemigroup, IndexSet, closure_bits
 from brandt_ranks.errors import (
@@ -431,6 +433,55 @@ def test_upper_rank_search_tree_size_n2(ab2):
     assert rv.exact and rv.value == 14
     rv = upper_rank_search(ab2, SearchBudget(seconds=600, node_limit=50_254), seed=seed)
     assert rv.bounds == (14, 29)
+
+
+def _count_search_work(monkeypatch):
+    """Count the search's ``extend_closure`` calls and the nodes it spends."""
+    counts = {"extensions": 0, "nodes": 0}
+    extend, spend = ranks.extend_closure, ranks._Clock.spend
+
+    def counting_extend(*args):
+        counts["extensions"] += 1
+        return extend(*args)
+
+    def counting_spend(self):
+        ok = spend(self)
+        counts["nodes"] += ok
+        return ok
+
+    monkeypatch.setattr(ranks, "extend_closure", counting_extend)
+    monkeypatch.setattr(ranks._Clock, "spend", counting_spend)
+    return counts
+
+
+def test_upper_rank_extension_sequence_n2(ab2, monkeypatch):
+    # the exact n = 2 search from P2: same tree, same closure extensions
+    counts = _count_search_work(monkeypatch)
+    rv = upper_rank_search(ab2, BIG, seed=construct_witness(2, "P2"))
+    assert rv.exact and rv.value == 14
+    assert counts == {"extensions": 83_910, "nodes": 50_255}
+
+
+def test_upper_rank_extension_sequence_n3(ab3, monkeypatch):
+    # the open n = 3 search from I, cut at 8,000 nodes, keeps its golden witness
+    counts = _count_search_work(monkeypatch)
+    rv = upper_rank_search(ab3, SearchBudget(seconds=600, node_limit=8_000),
+                           seed=construct_witness(3, "I"))
+    assert counts == {"extensions": 10_924, "nodes": 8_000}
+    assert rv.bounds == (57, 145)
+    golden = json.loads((Path(__file__).parent / "golden" / "search-r4-n3-8000.json")
+                        .read_text(encoding="utf-8"))
+    assert list(rv.witness_labels) == golden["output"]["ranks"]["r4"]["witness"]
+
+
+def test_upper_rank_search_with_many_chosen_members_n4(ab4):
+    # from the 388-element I witness the chosen set holds hundreds of
+    # members; the cut-short search keeps an independent witness of its bound
+    rv = upper_rank_search(ab4, SearchBudget(seconds=600, node_limit=2_000),
+                           seed=construct_witness(4, "I"))
+    assert not rv.exact
+    assert len(rv.witness) == rv.lower == 388
+    assert engine.is_independent(ab4, rv.witness)
 
 
 def test_upper_rank_rejects_bad_seed(ab2):
