@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, budget=True, fmt=("text", "json"))
 
     p = sub.add_parser("prime", help="find a smallest proper prime subset")
-    common(p, fmt=("text", "json"))
+    common(p, budget=True, fmt=("text", "json"))
 
     p = sub.add_parser("verify", help="run the full verification battery")
     common(p, budget=True, fmt=("text", "json"))
@@ -182,7 +182,7 @@ def _cmd_search_r4(args) -> int:
 
 def _cmd_prime(args) -> int:
     n = args.n
-    rv = plan_rank(a_plus_semigroup(n), "r5")
+    rv = plan_rank(a_plus_semigroup(n), "r5", _budget(args))
     if args.format == "json":
         print(json.dumps({"n": n, "r5": rv.to_json_dict()}, indent=2))
     else:

@@ -348,12 +348,25 @@ def lower_rank_exact(
     incremental closure, looks for a generating set (any generating set of
     at most k elements extends to a generating k-subset, so the walk stops
     at the first generating prefix). The first set found is the
-    lexicographically smallest of minimum size. A known generating witness
-    of size t caps the sweep at t - 1: if no smaller set generates, the
-    witness is minimal. A level whose node count could exceed what is left
-    of the budget is not started, and a level the budget cuts short proves
-    nothing about its own size; either way the result is (proven lower,
-    best upper) bounds, unless the lower bound already meets the witness.
+    lexicographically smallest of minimum size.
+
+    The walk skips every prefix that has passed an indecomposable element
+    without taking it, because every generating set G holds every
+    indecomposable x. Proof: if x is in the closure of G but not in G, write
+    x = g_1 + ... + g_k with every g_i in G. Then k >= 2 and g_k != x. Take
+    the largest j with g_j + ... + g_k = x; then j < k, and x = g_j + y with
+    y = g_(j+1) + ... + g_k. Here y != x and g_j != x, so x is decomposable.
+    The skipped prefixes hold no generating set, so the first set found, and
+    the exhaustive proof of a level, are unchanged (at n = 2 the elements 2
+    and 3 are indecomposable; from n = 3 on none is).
+
+    A known generating witness of size t caps the sweep at t - 1: if no
+    smaller set generates, the witness is minimal. A level whose node count
+    could exceed what is left of the budget is not started, and a level the
+    budget cuts short proves nothing about its own size; either way the
+    result is (proven lower, best upper) bounds, unless the lower bound
+    already meets the witness. The indecomposables are found only once a
+    level is started.
     """
     clock = _Clock(budget)
     rows, cols = sg.rows, sg.cols
@@ -377,17 +390,24 @@ def lower_rank_exact(
 
     chosen: list[int] = []
     elems: list[int] = []
+    ind: int | None = None
 
-    def sweep(start: int, bits: int, left: int) -> bool:
-        # ``left`` more elements to pick; False stops the sweep: the chosen
-        # prefix generates, or the budget ran out
-        for i in range(start, m - left + 1):
+    def sweep(start: int, bits: int, left: int, cbits: int) -> bool:
+        # ``left`` more elements to pick after the prefix ``cbits``; False
+        # stops the sweep: the chosen prefix generates, or the budget ran out.
+        # Once i passes an indecomposable the prefix lacks, no extension can
+        # pick it up, so i goes no higher than the lowest one missing.
+        missing = ind & ~cbits
+        stop = m - left + 1
+        if missing:
+            stop = min(stop, (missing & -missing).bit_length())
+        for i in range(start, stop):
             if not clock.spend():
                 return False
             mark = len(elems)
             nb = extend_closure(rows, cols, bits, elems, i)
             chosen.append(i)
-            if len(elems) == m or left > 1 and not sweep(i + 1, nb, left - 1):
+            if len(elems) == m or left > 1 and not sweep(i + 1, nb, left - 1, cbits | 1 << i):
                 return False
             chosen.pop()
             del elems[mark:]
@@ -397,7 +417,9 @@ def lower_rank_exact(
         if sum(comb(m, d) for d in range(1, k + 1)) > clock.nodes_left:
             detail = f"sweep of {k}-subsets exceeds node budget"
             break
-        if k and not sweep(0, 0, k):  # k = 0: the empty set generates nothing
+        if ind is None:
+            ind = engine.indecomposables(sg).bits
+        if k and not sweep(0, 0, k, 0):  # k = 0: the empty set generates nothing
             if clock.ok:
                 return done(tuple(chosen), PROV_SEARCH)
             detail = "budget exhausted mid-sweep"

@@ -134,6 +134,16 @@ def test_prime(capsys):
     assert "xi(1,2)" in out and "r5 = 29" in out
 
 
+def test_prime_keeps_its_budget(capsys):
+    # A+(B_3) has no indecomposable element, so one node ends the search for
+    # a prime pair and only size 1 is excluded
+    code, out, _ = invoke(capsys, "prime", "--n", "3", "--node-limit", "1", "--format", "json")
+    assert code == EXIT_BUDGET
+    r5 = json.loads(out)["r5"]
+    assert r5["bounds"] == [2, 144]
+    assert r5["detail"] == "budget exhausted; no proper prime subset of size <= 1"
+
+
 def test_invalid_arguments(capsys):
     assert invoke(capsys, "count", "--n", "0")[0] == EXIT_USAGE
     assert invoke(capsys, "count")[0] == EXIT_USAGE

@@ -213,27 +213,30 @@ def test_first_factor_bound_matches_a_per_pair_loop(n, request):
     assert first_factor_lower_bound(sg) == _first_factor_per_pair(sg)
 
 
+def _first_minimum_generating_set(sg):
+    """Oracle: the lexicographically first generating subset of least size."""
+    full = (1 << sg.m) - 1
+    for k in range(1, sg.m + 1):
+        for combo in itertools.combinations(range(sg.m), k):
+            if closure_bits(sg.rows, sg.cols, sum(1 << i for i in combo)) == full:
+                return combo
+    return None
+
+
 def test_lower_rank_b2_matches_exhaustive_oracle(b2):
-    # oracle: scan subsets by size for the first generating one
-    oracle = None
-    for k in range(1, b2.m + 1):
-        for combo in itertools.combinations(range(b2.m), k):
-            if closure_bits(b2.rows, b2.cols, sum(1 << i for i in combo)) == (1 << b2.m) - 1:
-                oracle = (k, combo)
-                break
-        if oracle:
-            break
-    assert oracle[0] == 2
+    oracle = _first_minimum_generating_set(b2)
+    assert len(oracle) == 2
     rv = lower_rank_exact(b2, BIG)
     assert rv.value == 2
-    assert rv.witness == oracle[1]
+    assert rv.witness == oracle
     assert rv.provenance == PROV_SEARCH
 
 
 def test_lower_rank_a_plus_b1(ab1):
     rv = lower_rank_exact(ab1, BIG)
     assert rv.value == 3
-    assert rv.witness == (0, 1, 2)  # no proper subset generates
+    # no proper subset generates
+    assert rv.witness == (0, 1, 2) == _first_minimum_generating_set(ab1)
 
 
 def test_lower_rank_a_plus_b2_exhaustive(ab2):
@@ -241,7 +244,8 @@ def test_lower_rank_a_plus_b2_exhaustive(ab2):
     rv = lower_rank_exact(ab2, BIG, witness=wit)
     assert rv.value == 6
     assert rv.provenance == PROV_SEARCH  # the 5-subset sweep completed
-    assert set(rv.witness) == set(wit)
+    # the indecomposables 2 and 3 lie in every generating set, S ∪ T too
+    assert set(engine.indecomposables(ab2)) == {2, 3} <= set(rv.witness) == set(wit)
 
 
 def test_lower_rank_a_plus_b3_witness_bound_match(ab3):
@@ -297,7 +301,7 @@ def test_lower_rank_finds_the_first_minimum_below_any_witness(ab2, witness):
     rv = lower_rank_exact(ab2, BIG, witness=witness)
     assert rv.value == 6
     assert rv.provenance == PROV_SEARCH
-    assert rv.witness == (2, 3, 21, 22, 25, 26)
+    assert rv.witness == (2, 3, 21, 22, 25, 26)  # opens with the indecomposables 2, 3
     assert rv.detail == ""
 
 
@@ -322,6 +326,63 @@ def test_generating_subset_sweep_none_at_5(ab2):
     rv = lower_rank_exact(ab2, BIG, witness=wit)
     assert rv.value == 6
     assert rv.detail == "no generating subset of size 5 (exhaustive)"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_indecomposables_are_exactly_the_elements_every_generating_set_needs(n, request):
+    # x is indecomposable iff the other elements do not generate it, so every
+    # generating set holds every indecomposable (the r2 sweep's pruning lemma)
+    sg = request.getfixturevalue(f"ab{n}")
+    full = (1 << sg.m) - 1
+    needed = [x for x in range(sg.m) if not closure_bits(sg.rows, sg.cols, full ^ 1 << x) >> x & 1]
+    assert needed == list(engine.indecomposables(sg))
+
+
+def test_lower_rank_without_indecomposables_matches_the_oracle():
+    # the Klein four-group has no indecomposable, so the sweep prunes
+    # nothing; b2 (indecomposables 2, 3) and ab1 (all three) are checked above
+    xor = [[a ^ b for b in range(4)] for a in range(4)]
+    klein = FiniteSemigroup([f"k{i}" for i in range(4)], xor)
+    assert len(engine.indecomposables(klein)) == 0
+    assert lower_rank_exact(klein, BIG).witness == _first_minimum_generating_set(klein) == (1, 2)
+
+
+def _count_search_work(monkeypatch):
+    """Count a search's ``extend_closure`` calls and the nodes it spends."""
+    counts = {"extensions": 0, "nodes": 0}
+    extend, spend = ranks.extend_closure, ranks._Clock.spend
+
+    def counting_extend(*args):
+        counts["extensions"] += 1
+        return extend(*args)
+
+    def counting_spend(self):
+        ok = spend(self)
+        counts["nodes"] += ok
+        return ok
+
+    monkeypatch.setattr(ranks, "extend_closure", counting_extend)
+    monkeypatch.setattr(ranks._Clock, "spend", counting_spend)
+    return counts
+
+
+def test_lower_rank_sweep_size_with_the_s_t_witness_n2(ab2, monkeypatch):
+    # every 5-subset is ruled out, but only prefixes holding the
+    # indecomposables 2 and 3 are walked past them: 3,283 of 146,595
+    # nodes, each one closure extension
+    counts = _count_search_work(monkeypatch)
+    wit = construct_witness(2, "S") | construct_witness(2, "T")
+    rv = lower_rank_exact(ab2, BIG, witness=wit)
+    assert counts == {"extensions": 3_283, "nodes": 3_283}
+    assert (rv.value, rv.provenance) == (6, PROV_SEARCH)
+    assert rv.detail == "no generating subset of size 5 (exhaustive)"
+
+
+def test_lower_rank_sweep_size_without_a_witness_n2(ab2, monkeypatch):
+    counts = _count_search_work(monkeypatch)
+    rv = lower_rank_exact(ab2, BIG)
+    assert counts == {"extensions": 20_372, "nodes": 20_372}
+    assert rv.witness == (2, 3, 21, 22, 25, 26)
 
 
 # --- r3 -------------------------------------------------------------------------
@@ -433,25 +494,6 @@ def test_upper_rank_search_tree_size_n2(ab2):
     assert rv.exact and rv.value == 14
     rv = upper_rank_search(ab2, SearchBudget(seconds=600, node_limit=50_254), seed=seed)
     assert rv.bounds == (14, 29)
-
-
-def _count_search_work(monkeypatch):
-    """Count the search's ``extend_closure`` calls and the nodes it spends."""
-    counts = {"extensions": 0, "nodes": 0}
-    extend, spend = ranks.extend_closure, ranks._Clock.spend
-
-    def counting_extend(*args):
-        counts["extensions"] += 1
-        return extend(*args)
-
-    def counting_spend(self):
-        ok = spend(self)
-        counts["nodes"] += ok
-        return ok
-
-    monkeypatch.setattr(ranks, "extend_closure", counting_extend)
-    monkeypatch.setattr(ranks._Clock, "spend", counting_spend)
-    return counts
 
 
 def test_upper_rank_extension_sequence_n2(ab2, monkeypatch):
@@ -663,15 +705,7 @@ def test_searches_match_brute_force_on_random_subsemigroups(ab2):
             ):
                 best = bits.bit_count()
         assert upper_rank_search(sub, BIG).value == best
-        mingen = None
-        for k in range(1, sub.m + 1):
-            for combo in itertools.combinations(range(sub.m), k):
-                if closure_bits(sub.rows, sub.cols, sum(1 << i for i in combo)) == (1 << sub.m) - 1:
-                    mingen = k
-                    break
-            if mingen:
-                break
-        assert lower_rank_exact(sub, BIG).value == mingen
+        assert lower_rank_exact(sub, BIG).witness == _first_minimum_generating_set(sub)
         checked += 1
 
 
@@ -719,12 +753,23 @@ def _semigroup_or_none(table):
         return None
 
 
+def _small_semigroups(ab2):
+    """Subsemigroups of A+(B_2) and small tables, both of at most 12 elements."""
+    return _b2_subsemigroups(ab2) | small_tables().map(_semigroup_or_none).filter(
+        lambda sg: sg is not None
+    )
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_upper_rank_search_matches_brute_force(ab2, data):
-    sg = data.draw(
-        _b2_subsemigroups(ab2)
-        | small_tables().map(_semigroup_or_none).filter(lambda sg: sg is not None)
-    )
+    sg = data.draw(_small_semigroups(ab2))
     rv = upper_rank_search(sg, BIG)
     assert rv.value == _max_independent_bruteforce(sg) == len(rv.witness)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lower_rank_matches_the_first_minimum_oracle(ab2, data):
+    sg = data.draw(_small_semigroups(ab2))
+    assert lower_rank_exact(sg, BIG).witness == _first_minimum_generating_set(sg)
