@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import factorial
+from math import factorial, isfinite
 from pathlib import Path
 
 from . import engine
@@ -40,8 +40,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError("value must be positive")
+    if not (isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("value must be finite and positive")
     return value
 
 

@@ -478,22 +478,17 @@ def indecomposables(sg: FiniteSemigroup) -> IndexSet:
 
 
 def is_prime_subset(sg: FiniteSemigroup, subset) -> bool:
-    """True iff a + b in U always forces a in U or b in U (U nonempty)."""
+    """True iff a + b in U always forces a in U or b in U (U nonempty).
+
+    That is, no two non-members add up to a member: the complement of U is
+    closed, which the closure kernel decides. The whole set is prime, since
+    its complement is empty.
+    """
     bits = _coerce_bits(sg, subset)
     if bits == 0:
         raise InvalidParameterError("prime subsets are nonempty by definition")
-    rows = sg.rows
-    m = sg.m
-    for a in range(m):
-        if bits >> a & 1:
-            continue
-        row = rows[a]
-        for b in range(m):
-            if bits >> b & 1:
-                continue
-            if bits >> row[b] & 1:
-                return False
-    return True
+    rest = ((1 << sg.m) - 1) & ~bits
+    return closure_bits(sg.rows, sg.cols, rest) == rest
 
 
 # --- table IO ----------------------------------------------------------------

@@ -3,7 +3,7 @@
 Rank computations return RankValue records carrying either an exact value
 or (lower, upper) bounds, a provenance tag, an optional witness, and the
 elapsed time. Budget exhaustion is a first-class bounds result, never an
-error. Every witness is re-verified against the Cayley table before it is
+error. Every witness is checked once against the Cayley table before it is
 returned. ``plan_rank`` decides how each rank of A+(B_n) is obtained.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import comb, factorial, isfinite
 
 import numpy as np
 
@@ -57,14 +57,18 @@ class SearchBudget:
     OVERSHOOT_MARGIN_S = 1.0
 
     def __post_init__(self):
-        if self.seconds <= 0 or self.node_limit <= 0:
-            raise InvalidParameterError("budget limits must be positive")
+        # NaN compares False with everything, so its deadline would never pass
+        if not (isfinite(self.seconds) and self.seconds > 0) or self.node_limit <= 0:
+            raise InvalidParameterError("budget limits must be finite and positive")
 
 
 class _Clock:
     """Budget tracker; ``spend`` returns False once the budget is gone.
 
-    ``start`` is when the routine began, the origin of ``elapsed_ms``.
+    Each rank routine makes exactly one and returns through it (``_rank``);
+    a search it delegates to, like ``smallest_prime_subset``, spends that
+    same clock. ``start`` is when the routine began, the origin of
+    ``elapsed_ms``.
     """
 
     __slots__ = ("start", "deadline", "nodes_left", "ok")
@@ -135,18 +139,15 @@ class RankReport:
     ranks: dict[str, RankValue] = field(default_factory=dict)
 
     def chain_violations(self) -> list[str]:
-        """Check r1 <= r2 <= r3 <= r4 <= r5 on the available values/bounds."""
-        out = []
+        """Check r1 <= r2 <= r3 <= r4 <= r5 on the available values/bounds.
+
+        Adjacent ranks contradict the chain iff the lower one is proven
+        larger than the upper one can be: ``lower(a) > upper(b)``.
+        """
         present = [k for k in RANK_KEYS if k in self.ranks]
-        for a, b in zip(present, present[1:]):
-            ra, rb = self.ranks[a], self.ranks[b]
-            if ra.exact and rb.exact and ra.value > rb.value:
-                out.append(f"{a}={ra.value} > {b}={rb.value}")
-            elif ra.exact and not rb.exact and ra.value > rb.lower:
-                out.append(f"{a}={ra.value} > lower({b})={rb.lower}")
-            elif not ra.exact and rb.exact and ra.upper > rb.value:
-                out.append(f"upper({a})={ra.upper} > {b}={rb.value}")
-        return out
+        return [f"{a} >= {self.ranks[a].lower} > {self.ranks[b].upper} >= {b}"
+                for a, b in zip(present, present[1:])
+                if self.ranks[a].lower > self.ranks[b].upper]
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "ranks": {k: v.to_json_dict() for k, v in self.ranks.items()}}
@@ -361,12 +362,13 @@ def lower_rank_exact(
     and 3 are indecomposable; from n = 3 on none is).
 
     A known generating witness of size t caps the sweep at t - 1: if no
-    smaller set generates, the witness is minimal. A level whose node count
-    could exceed what is left of the budget is not started, and a level the
-    budget cuts short proves nothing about its own size; either way the
-    result is (proven lower, best upper) bounds, unless the lower bound
-    already meets the witness. The indecomposables are found only once a
-    level is started.
+    smaller set generates, the witness is minimal. The witness is checked
+    once, on entry, and a set the sweep finds once, when it is found. A
+    level whose node count could exceed what is left of the budget is not
+    started, and a level the budget cuts short proves nothing about its own
+    size; either way the result is (proven lower, best upper) bounds,
+    unless the lower bound already meets the witness. The indecomposables
+    are found only once a level is started.
     """
     clock = _Clock(budget)
     rows, cols = sg.rows, sg.cols
@@ -382,11 +384,6 @@ def lower_rank_exact(
             raise WitnessVerificationError("provided witness does not generate")
         wit = tuple(iter_bits(bits))
     top = len(wit) - 1 if wit else m
-
-    def done(w: tuple[int, ...], prov: str, detail: str = "") -> RankValue:
-        if closure_bits(rows, cols, sum(1 << i for i in w)) != full:
-            raise WitnessVerificationError("minimum generating witness failed re-check")
-        return _rank(sg, clock, value=len(w), provenance=prov, witness=w, detail=detail)
 
     chosen: list[int] = []
     elems: list[int] = []
@@ -421,16 +418,20 @@ def lower_rank_exact(
             ind = engine.indecomposables(sg).bits
         if k and not sweep(0, 0, k, 0):  # k = 0: the empty set generates nothing
             if clock.ok:
-                return done(tuple(chosen), PROV_SEARCH)
+                found = tuple(chosen)
+                if closure_bits(rows, cols, sum(1 << i for i in found)) != full:
+                    raise WitnessVerificationError("minimum generating witness failed re-check")
+                return _rank(sg, clock, value=len(found), provenance=PROV_SEARCH, witness=found)
             detail = "budget exhausted mid-sweep"
             break
     else:
         # every size below the witness was swept (without a witness, the
         # sweep of all m elements always finds a generating set)
         detail = f"no generating subset of size {top} (exhaustive)" if top else "single generator"
-        return done(wit, PROV_SEARCH, detail)
+        return _rank(sg, clock, value=len(wit), provenance=PROV_SEARCH, witness=wit, detail=detail)
     if wit and lb == len(wit):
-        return done(wit, PROV_WITNESS, f"first-factor lower bound {lb} matches witness size")
+        return _rank(sg, clock, value=lb, provenance=PROV_WITNESS, witness=wit,
+                     detail=f"first-factor lower bound {lb} matches witness size")
     # the best generating set known, if any, proves the upper bound
     return _rank(sg, clock, bounds=(max(lb, k), len(wit) if wit else m), provenance=PROV_BOUNDS,
                  witness=wit, detail=detail)
@@ -462,10 +463,7 @@ def intermediate_rank_verify(sg: FiniteSemigroup, budget: SearchBudget | None = 
         raise WitnessVerificationError("independent generating witness does not generate")
     if not engine.is_independent(sg, w):
         raise WitnessVerificationError("independent generating witness is not independent")
-    expected = n * factorial(n) + 2 * n - 2
-    if len(w) != expected:
-        raise WitnessVerificationError(f"witness size {len(w)} != {expected}")
-    wit = tuple(iter_bits(w.bits))
+    wit = tuple(iter_bits(w.bits))  # construct_witness checked its size, n * n! + 2n - 2
     prov = PROV_WITNESS
     detail = "witness verified independent and generating"
     if n == 2:
@@ -476,7 +474,7 @@ def intermediate_rank_verify(sg: FiniteSemigroup, budget: SearchBudget | None = 
         for fc in itertools.combinations(full_idx, 2):
             for ns in itertools.combinations(nsup_idx, 4):
                 if not clock.spend():
-                    return _rank(sg, clock, bounds=(expected, sg.m), provenance=PROV_BOUNDS,
+                    return _rank(sg, clock, bounds=(len(wit), sg.m), provenance=PROV_BOUNDS,
                                  witness=wit, detail=f"{detail}; budget exhausted during "
                                                      "stratified confirmation")
                 cand = fc + ns
@@ -491,7 +489,7 @@ def intermediate_rank_verify(sg: FiniteSemigroup, budget: SearchBudget | None = 
             raise WitnessVerificationError("no stratified candidate verified")
         prov = PROV_SEARCH
         detail = f"stratified exhaustive confirmation: {hits} maximal candidates"
-    return _rank(sg, clock, value=expected, provenance=prov, witness=wit, detail=detail)
+    return _rank(sg, clock, value=len(wit), provenance=prov, witness=wit, detail=detail)
 
 
 def intermediate_rank_bruteforce(sg: FiniteSemigroup, budget: SearchBudget | None = None) -> RankValue:
@@ -526,7 +524,8 @@ def upper_rank_search(
     Elements are branched in canonical index order, include before exclude.
     At each node the optimistic bound is |current| + |remaining compatible
     candidates|. ``seed`` may prime the incumbent with a known independent
-    set; it is verified first and only strengthens pruning.
+    set; it is verified first and only strengthens pruning. The best set is
+    checked again at the end only if the search replaced the seed.
 
     For each chosen member c = chosen[r] (r = slot[c]) the search keeps a
     leave-one-out closure ``minus_bits[r]``: the closure of some G_r with
@@ -569,6 +568,7 @@ def upper_rank_search(
             raise WitnessVerificationError("seed witness is not independent")
         best = tuple(iter_bits(engine._coerce_bits(sg, seed)))
         best_size = len(best)
+    verified = best_size
 
     chosen: list[int] = []
     slot = [0] * m  # slot[c] = r for the chosen member c = chosen[r]
@@ -626,9 +626,8 @@ def upper_rank_search(
 
     rec(full_mask, [], 0, 0)
 
-    if best:
-        if not engine.is_independent(sg, best):
-            raise WitnessVerificationError("maximum independent witness failed re-check")
+    if best_size > verified and not engine.is_independent(sg, best):
+        raise WitnessVerificationError("maximum independent witness failed re-check")
     if complete:
         return _rank(sg, clock, value=best_size, provenance=PROV_SEARCH, witness=best or None)
     return _rank(sg, clock, bounds=(best_size, m), provenance=PROV_BOUNDS, witness=best or None,
@@ -652,13 +651,15 @@ def _pairs_into(table: np.ndarray) -> list[list[int]]:
 
 
 def smallest_prime_subset(
-    sg: FiniteSemigroup, size_cap: int, budget: SearchBudget | None = None
+    sg: FiniteSemigroup, size_cap: int, clock: _Clock
 ) -> tuple[tuple[int, ...] | None, int]:
     """Smallest nonempty proper prime subset of size <= size_cap, and a proven size.
 
     Returns (subset, k): no proper prime subset has k or fewer elements, and
     subset is a smallest one (then k = |subset| - 1) or None (then k is
-    size_cap, or less if the budget ran out first).
+    size_cap, or less if the budget ran out first). ``sg`` has at least two
+    elements (``large_rank_exact`` answers m = 1 itself), and the search
+    spends ``clock``, the clock of the rank routine that calls it.
 
     Size 1 reduces to indecomposable elements. Beyond that, every prime set
     containing a chosen seed must hit every two-term decomposition of each
@@ -667,14 +668,11 @@ def smallest_prime_subset(
     2, 3, ... are searched in turn, so a level that completes proves its size.
     """
     m = sg.m
-    if m == 1:
-        return None, 0
     ind = engine.indecomposables(sg)
     if len(ind) > 0:
         return (next(iter(ind)),), 0
     if size_cap < 2:
         return None, size_cap
-    clock = _Clock(budget)
     pairs = _pairs_into(sg.table)
 
     best: list[tuple[int, ...]] = []
@@ -723,26 +721,21 @@ def large_rank_exact(sg: FiniteSemigroup, budget: SearchBudget | None = None) ->
     or the budget runs out first, a bounds-only result notes the largest
     size the search has excluded.
     """
-    clock = _Clock(budget)  # times the result; the prime-subset search keeps its own
+    clock = _Clock(budget)
     m = sg.m
     if m == 1:
         return _rank(sg, clock, value=1, detail="one-element semigroup")
     cap = sg.n if sg.n else min(6, m - 1)
-    prime, proven = smallest_prime_subset(sg, cap, budget)
+    prime, proven = smallest_prime_subset(sg, cap, clock)
     if prime is None:
         detail = f"no proper prime subset of size <= {proven}"
         if proven < cap:
             detail = f"budget exhausted; {detail}"
         return _rank(sg, clock, bounds=(2, m - proven), provenance=PROV_BOUNDS, detail=detail)
+    # prime iff the complement is closed: the witness is a subsemigroup
     if not engine.is_prime_subset(sg, prime):
         raise WitnessVerificationError("prime subset witness failed re-check")
-    prime_bits = 0
-    for i in prime:
-        prime_bits |= 1 << i
-    complement = tuple(i for i in range(m) if not prime_bits >> i & 1)
-    complement_bits = sum(1 << i for i in complement)
-    if closure_bits(sg.rows, sg.cols, complement_bits) != complement_bits:
-        raise WitnessVerificationError("complement of prime subset is not a subsemigroup")
+    complement = tuple(i for i in range(m) if i not in prime)
     return _rank(sg, clock, value=m - len(prime) + 1, provenance=PROV_SEARCH,
                  witness=complement, detail=f"smallest prime subset {sg.label_list(prime)}")
 

@@ -33,7 +33,7 @@ from brandt_ranks.ranks import (
     smallest_prime_subset,
     upper_rank_search,
 )
-from brandt_ranks.ranks import _small_rank_bruteforce
+from brandt_ranks.ranks import _Clock, _small_rank_bruteforce
 from brandt_ranks.verify import _greens_l_constants, _greens_r_characterization
 
 BIG = SearchBudget(seconds=3600.0, node_limit=10**9)
@@ -173,7 +173,7 @@ def test_criterion_8_large_rank(ab2, ab3):
         assert "xi(1,2)" in rv2.detail  # the singleton prime subset found
         rv3 = large_rank_exact(ab3)
         assert rv3.value == 144 == factorial(3) * 9 + 9 + 81 - 3 + 3
-        assert len(smallest_prime_subset(ab3, 3)[0]) == 2
+        assert len(smallest_prime_subset(ab3, 3, _Clock())[0]) == 2
         assert len(engine.indecomposables(ab3)) == 0
     _report(8, t.elapsed < 120.0,
             f"r5 = 29 (prime {{xi(1,2)}}) and 144 (prime pair); no indecomposables at n=3; {t.elapsed:.1f}s")

@@ -151,6 +151,15 @@ def test_invalid_arguments(capsys):
     assert invoke(capsys, "nonsense")[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("seconds", ["nan", "inf", "0"])
+def test_budget_must_be_finite_and_positive(capsys, seconds):
+    # one node ends the search at once if the budget is wrongly accepted
+    argv = ("search-r4", "--n", "3", "--budget", seconds, "--node-limit", "1")
+    code, _, err = invoke(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert "--budget" in err
+
+
 def test_repeat_invocations_byte_identical(capsys):
     _, first, _ = invoke(capsys, "build", "--n", "2", "--format", "json")
     _, second, _ = invoke(capsys, "build", "--n", "2", "--format", "json")

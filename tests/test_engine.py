@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from brandt_ranks import engine
@@ -678,6 +678,39 @@ def test_prime_subset_complement_is_subsemigroup(ab3):
     v = construct_witness(3, "V")
     comp = [i for i in range(ab3.m) if i not in v]
     assert closure(ab3, comp) == IndexSet(ab3.m, comp)
+
+
+def _is_prime_subset_oracle(sg, bits):
+    """The definition read pair by pair: no two non-members add up to a member."""
+    for a, row in enumerate(sg.rows):
+        if bits >> a & 1:
+            continue
+        for b, c in enumerate(row):
+            if not bits >> b & 1 and bits >> c & 1:
+                return False
+    return True
+
+
+def semigroup_or_none(table):
+    """The table as a FiniteSemigroup, or None if it is not associative."""
+    try:
+        return FiniteSemigroup([f"x{i}" for i in range(len(table))], table)
+    except TableValidationError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_prime_subset_matches_the_pair_oracle(ab2, data):
+    sg = data.draw(
+        st.just(ab2) | small_tables().map(semigroup_or_none).filter(lambda sg: sg is not None)
+    )
+    full = (1 << sg.m) - 1
+    seed = data.draw(st.integers(0, full))
+    # random subsets are rarely prime; complements of subsemigroups always are
+    bits = data.draw(st.sampled_from([full, seed, full & ~closure_bits(sg.rows, sg.cols, seed)]))
+    assume(bits)
+    assert is_prime_subset(sg, IndexSet.from_bits(sg.m, bits)) == _is_prime_subset_oracle(sg, bits)
 
 
 # --- IO -----------------------------------------------------------------------

@@ -7,14 +7,13 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_engine import small_tables
+from test_engine import semigroup_or_none, small_tables
 
 from brandt_ranks import engine, ranks
 from brandt_ranks.affine import Const, ConstZero, add_maps, enumerate_a_plus, map_label
 from brandt_ranks.engine import FiniteSemigroup, IndexSet, closure_bits
 from brandt_ranks.errors import (
     InvalidParameterError,
-    TableValidationError,
     WitnessVerificationError,
 )
 from brandt_ranks.ranks import (
@@ -26,6 +25,7 @@ from brandt_ranks.ranks import (
     SearchBudget,
     construct_witness,
     first_factor_lower_bound,
+    generating_witness,
     intermediate_rank_bruteforce,
     intermediate_rank_verify,
     kappa_upper_bound,
@@ -37,7 +37,7 @@ from brandt_ranks.ranks import (
     smallest_prime_subset,
     upper_rank_search,
 )
-from brandt_ranks.ranks import _pairs_into
+from brandt_ranks.ranks import _Clock, _pairs_into
 
 BIG = SearchBudget(seconds=600.0, node_limit=10**9)
 
@@ -93,6 +93,17 @@ def test_kappa_values():
 def test_formulas_reject_zero():
     with pytest.raises(InvalidParameterError):
         rank_formulas(0)
+
+
+@pytest.mark.parametrize(
+    "seconds, node_limit",
+    [(0.0, 1), (-1.0, 1), (float("nan"), 1), (float("inf"), 1), (1.0, 0)],
+    ids=["zero", "negative", "nan", "inf", "no-nodes"],
+)
+def test_search_budget_rejects_limits_that_never_or_always_stop(seconds, node_limit):
+    # a NaN deadline compares False with every time, so it would never pass
+    with pytest.raises(InvalidParameterError):
+        SearchBudget(seconds=seconds, node_limit=node_limit)
 
 
 def test_rank_value_validation():
@@ -366,6 +377,31 @@ def _count_search_work(monkeypatch):
     return counts
 
 
+def _count_calls(monkeypatch, module, name):
+    """Record the arguments of every call to ``module.name``."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lower_rank_checks_the_s_t_witness_once(n, ab2, ab3, monkeypatch):
+    # n = 2 sweeps every 5-subset, n = 3 stops at the first-factor bound;
+    # both return the witness, checked on entry and not again
+    sg = (ab2, ab3)[n - 2]
+    calls = _count_calls(monkeypatch, ranks, "closure_bits")
+    rv = lower_rank_exact(sg, BIG, witness=generating_witness(n))
+    assert len(calls) == 1
+    assert rv.value == n * (factorial(n) + 1)
+    assert rv.provenance == (PROV_SEARCH if n == 2 else PROV_WITNESS)
+
+
 def test_lower_rank_sweep_size_with_the_s_t_witness_n2(ab2, monkeypatch):
     # every 5-subset is ruled out, but only prefixes holding the
     # indecomposables 2 and 3 are walked past them: 3,283 of 146,595
@@ -563,6 +599,21 @@ def test_plan_rank_r4_n4_lower_bound_has_its_witness(ab4):
     assert rv.detail == "budget exhausted; best witness kept; merged with construction/cap bounds"
 
 
+def test_plan_rank_r4_checks_the_seed_once(ab3, monkeypatch):
+    # the search keeps the 57-element seed, so its end check is skipped
+    calls = _count_calls(monkeypatch, engine, "is_independent")
+    rv = plan_rank(ab3, "r4", SearchBudget(seconds=600, node_limit=8_000))
+    assert rv.bounds == (57, 104)
+    assert len(calls) == 1
+
+
+def test_upper_rank_rechecks_a_set_the_search_found(ab2, monkeypatch):
+    # with no seed the best set is the search's own, checked once at the end
+    calls = _count_calls(monkeypatch, engine, "is_independent")
+    rv = upper_rank_search(ab2, SearchBudget(seconds=600, node_limit=50))
+    assert [set(c[1]) for c in calls] == [set(rv.witness)]
+
+
 def test_plan_rank_r4_n2_merges_an_unfinished_search(ab2):
     rv = plan_rank(ab2, "r4", SearchBudget(seconds=600, node_limit=50))
     assert rv.bounds == (14, 23)
@@ -611,7 +662,7 @@ def test_large_rank_a_plus_b3(ab3):
 
 
 def test_smallest_prime_subset_n3_matches_naive_scan(ab3):
-    found, proven = smallest_prime_subset(ab3, 3)
+    found, proven = smallest_prime_subset(ab3, 3, _Clock())
     assert len(found) == 2 and proven == 1
     # naive oracle: no singleton is prime, some pair is
     assert all(not engine.is_prime_subset(ab3, [i]) for i in range(ab3.m))
@@ -646,8 +697,33 @@ def test_large_rank_keeps_budget(ab3):
     assert not rv.exact and rv.provenance == PROV_BOUNDS
     assert rv.bounds == (2, 144)
     assert rv.detail == "budget exhausted; no proper prime subset of size <= 1"
-    assert smallest_prime_subset(ab3, 3, SearchBudget(node_limit=1)) == (None, 1)
+    assert smallest_prime_subset(ab3, 3, _Clock(SearchBudget(node_limit=1))) == (None, 1)
     assert plan_rank(ab3, "r5", SearchBudget(node_limit=1)).bounds == (2, 144)
+
+
+def test_large_rank_checks_its_witness_once_under_one_clock(ab3, monkeypatch):
+    clocks = []
+
+    class CountingClock(_Clock):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            clocks.append(self)
+
+    monkeypatch.setattr(ranks, "_Clock", CountingClock)
+    calls = _count_calls(monkeypatch, engine, "is_prime_subset")
+    rv = large_rank_exact(ab3)
+    assert rv.value == 144
+    assert len(clocks) == 1
+    assert len(calls) == 1
+
+
+def test_large_rank_rejects_a_witness_that_fails_its_check(ab2, ab3, monkeypatch):
+    monkeypatch.setattr(engine, "is_prime_subset", lambda sg, subset: False)
+    for sg in (ab2, ab3):  # a singleton (indecomposable) and a searched pair
+        with pytest.raises(WitnessVerificationError, match="prime subset witness"):
+            large_rank_exact(sg)
 
 
 def test_large_rank_b2(b2):
@@ -675,7 +751,20 @@ def test_chain_violation_detection():
     report = RankReport(n=2)
     report.ranks["r1"] = RankValue(value=4)
     report.ranks["r2"] = RankValue(value=3)
-    assert report.chain_violations()
+    assert report.chain_violations() == ["r1 >= 4 > 3 >= r2"]
+    # disjoint bounds: r1 >= 5 cannot sit below r2 <= 3
+    report.ranks["r1"] = RankValue(bounds=(5, 10), provenance=PROV_BOUNDS)
+    report.ranks["r2"] = RankValue(bounds=(1, 3), provenance=PROV_BOUNDS)
+    assert report.chain_violations() == ["r1 >= 5 > 3 >= r2"]
+
+
+def test_chain_allows_values_inside_overlapping_bounds():
+    # r3 = 60 <= r4 <= r5 = 90 holds for any r4 in [60, 90], inside [57, 104]
+    report = RankReport(n=3)
+    report.ranks["r3"] = RankValue(value=60)
+    report.ranks["r4"] = RankValue(bounds=(57, 104), provenance=PROV_BOUNDS)
+    report.ranks["r5"] = RankValue(value=90)
+    assert report.chain_violations() == []
 
 
 # --- differential checks against brute force ------------------------------------
@@ -746,16 +835,9 @@ def _b2_subsemigroups(draw, ab2):
     return sub
 
 
-def _semigroup_or_none(table):
-    try:
-        return FiniteSemigroup([f"x{i}" for i in range(len(table))], table)
-    except TableValidationError:
-        return None
-
-
 def _small_semigroups(ab2):
     """Subsemigroups of A+(B_2) and small tables, both of at most 12 elements."""
-    return _b2_subsemigroups(ab2) | small_tables().map(_semigroup_or_none).filter(
+    return _b2_subsemigroups(ab2) | small_tables().map(semigroup_or_none).filter(
         lambda sg: sg is not None
     )
 
