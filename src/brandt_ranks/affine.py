@@ -151,52 +151,103 @@ def support_size(n: int, f: AffineMapElement) -> int:
     return n
 
 
-def _canonical_fixup(n: int, f: AffineMapElement) -> AffineMapElement:
-    # For n == 1 the single-point shape coincides with (1, 1; id); the
-    # n-support form is the canonical representative.
-    if n == 1 and isinstance(f, Singleton):
-        return NSupport(0, 0, (0,))
-    return f
-
-
 def add_maps(n: int, f: AffineMapElement, g: AffineMapElement) -> AffineMapElement:
     """Pointwise sum of two maps, in canonical form.
 
     The semigroup is closed over the four shapes, so the sum is one of them.
+    The case is looked up by the pair of operand shapes.
     """
-    return _canonical_fixup(n, _add_canonical(f, g))
+    try:
+        case = _ADD_CASES[type(f), type(g)]
+    except KeyError:
+        raise InvalidParameterError(f"cannot add {f!r} and {g!r}") from None
+    h = case(f, g)
+    # For n == 1 the single-point shape coincides with (1, 1; id); the
+    # n-support form is the canonical representative.
+    if n == 1 and type(h) is Singleton:
+        return _N1_IDENTITY
+    return h
 
 
-def _add_canonical(f: AffineMapElement, g: AffineMapElement) -> AffineMapElement:
-    # Case analysis on shapes; supp(f+g) is contained in supp(f) & supp(g)
-    # because the zero of B_n absorbs.
-    match f, g:
-        case (ConstZero(), _) | (_, ConstZero()):
-            return CONST_ZERO
-        case Const((a, b)), Const((c, d)):
-            return Const((a, d)) if b == c else CONST_ZERO
-        case Const((a, b)), Singleton(k, l, p, q):
-            return Singleton(k, l, a, q) if b == p else CONST_ZERO
-        case Singleton(k, l, p, q), Const((a, b)):
-            return Singleton(k, l, p, b) if q == a else CONST_ZERO
-        case Const((a, b)), NSupport(p, q, sigma):
-            return Singleton(perm_inverse(sigma)[b], p, a, q)
-        case NSupport(p, q, sigma), Const((a, b)):
-            return NSupport(p, b, sigma) if q == a else CONST_ZERO
-        case Singleton(k, l, p, q), Singleton(k2, l2, p2, q2):
-            if k == k2 and l == l2 and q == p2:
-                return Singleton(k, l, p, q2)
-            return CONST_ZERO
-        case Singleton(k, l, p, q), NSupport(a, b, sigma):
-            return Singleton(k, l, p, b) if l == a and q == sigma[k] else CONST_ZERO
-        case NSupport(a, b, sigma), Singleton(k, l, p, q):
-            return Singleton(k, l, sigma[k], q) if l == a and b == p else CONST_ZERO
-        case NSupport(p, q, sigma), NSupport(p2, q2, tau):
-            if p != p2:
-                return CONST_ZERO
-            i0 = perm_inverse(tau)[q]
-            return Singleton(i0, p, sigma[i0], q2)
-    raise InvalidParameterError(f"cannot add {f!r} and {g!r}")
+_N1_IDENTITY = NSupport(0, 0, (0,))
+
+# One function per shape pair; supp(f+g) is contained in supp(f) & supp(g)
+# because the zero of B_n absorbs.
+
+
+def _add_zero(f, g):
+    return CONST_ZERO
+
+
+def _add_const_const(f, g):
+    a, b = f.c
+    c, d = g.c
+    return Const((a, d)) if b == c else CONST_ZERO
+
+
+def _add_const_singleton(f, g):
+    a, b = f.c
+    return Singleton(g.k, g.l, a, g.q) if b == g.p else CONST_ZERO
+
+
+def _add_singleton_const(f, g):
+    a, b = g.c
+    return Singleton(f.k, f.l, f.p, b) if f.q == a else CONST_ZERO
+
+
+def _add_const_nsupport(f, g):
+    a, b = f.c
+    return Singleton(g.sigma.index(b), g.p, a, g.q)
+
+
+def _add_nsupport_const(f, g):
+    a, b = g.c
+    return NSupport(f.p, b, f.sigma) if f.q == a else CONST_ZERO
+
+
+def _add_singleton_singleton(f, g):
+    if f.k == g.k and f.l == g.l and f.q == g.p:
+        return Singleton(f.k, f.l, f.p, g.q)
+    return CONST_ZERO
+
+
+def _add_singleton_nsupport(f, g):
+    k = f.k
+    if f.l == g.p and f.q == g.sigma[k]:
+        return Singleton(k, f.l, f.p, g.q)
+    return CONST_ZERO
+
+
+def _add_nsupport_singleton(f, g):
+    k = g.k
+    if g.l == f.p and f.q == g.p:
+        return Singleton(k, g.l, f.sigma[k], g.q)
+    return CONST_ZERO
+
+
+def _add_nsupport_nsupport(f, g):
+    p = f.p
+    if p != g.p:
+        return CONST_ZERO
+    i0 = g.sigma.index(f.q)
+    return Singleton(i0, p, f.sigma[i0], g.q)
+
+
+_SHAPES = (ConstZero, Const, Singleton, NSupport)
+_ADD_CASES = {(s, t): _add_zero for s in _SHAPES for t in _SHAPES}
+_ADD_CASES.update(
+    {
+        (Const, Const): _add_const_const,
+        (Const, Singleton): _add_const_singleton,
+        (Singleton, Const): _add_singleton_const,
+        (Const, NSupport): _add_const_nsupport,
+        (NSupport, Const): _add_nsupport_const,
+        (Singleton, Singleton): _add_singleton_singleton,
+        (Singleton, NSupport): _add_singleton_nsupport,
+        (NSupport, Singleton): _add_nsupport_singleton,
+        (NSupport, NSupport): _add_nsupport_nsupport,
+    }
+)
 
 
 def a_plus_size(n: int) -> int:

@@ -465,16 +465,12 @@ def indecomposables(sg: FiniteSemigroup) -> IndexSet:
     In a one-element semigroup the single element is returned (there are no
     candidate witnesses), a documented edge case of the definition.
     """
-    rows = sg.rows
-    m = sg.m
-    decomposable = bytearray(m)
-    for a in range(m):
-        row = rows[a]
-        for b in range(m):
-            c = row[b]
-            if c != a and c != b:
-                decomposable[c] = 1
-    return IndexSet(m, (i for i in range(m) if not decomposable[i]))
+    table = sg.table
+    i = np.arange(sg.m)
+    decomposable = np.zeros(sg.m, dtype=bool)
+    # c = a + b with c != a and c != b, read off the whole table at once
+    decomposable[table[(table != i[:, None]) & (table != i[None, :])]] = True
+    return IndexSet(sg.m, np.flatnonzero(~decomposable).tolist())
 
 
 def is_prime_subset(sg: FiniteSemigroup, subset) -> bool:

@@ -80,7 +80,7 @@ def test_add_nsupport_plus_constant():
     assert map_table(2, out) == raw_sum(2, f, Const((0, 1)))
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_add_matches_pointwise_oracle_exhaustive(n):
     elems = enumerate_a_plus(n)
     for f in elems:
@@ -88,12 +88,19 @@ def test_add_matches_pointwise_oracle_exhaustive(n):
             assert map_table(n, add_maps(n, f, g)) == raw_sum(n, f, g)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 144), st.integers(0, 144))
-def test_add_matches_pointwise_oracle_n3(i, j):
-    elems = enumerate_a_plus(3)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 656), st.integers(0, 656))
+def test_add_matches_pointwise_oracle_n4(i, j):
+    elems = enumerate_a_plus(4)
     f, g = elems[i], elems[j]
-    assert map_table(3, add_maps(3, f, g)) == raw_sum(3, f, g)
+    assert map_table(4, add_maps(4, f, g)) == raw_sum(4, f, g)
+
+
+@pytest.mark.parametrize("bad", [None, (0, 1), "xi(0)", NSupport])
+def test_add_rejects_a_non_element(bad):
+    for f, g in ((bad, Const((0, 1))), (Const((0, 1)), bad), (bad, CONST_ZERO)):
+        with pytest.raises(InvalidParameterError, match="cannot add"):
+            add_maps(2, f, g)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -665,6 +665,26 @@ def test_indecomposables(ab2, ab3):
     assert list(indecomposables(ONE)) == [0]
 
 
+def _indecomposables_oracle(sg):
+    """The definition read pair by pair: c is decomposable iff some a + b = c
+    with a != c and b != c."""
+    decomposable = set()
+    for a, row in enumerate(sg.rows):
+        for b, c in enumerate(row):
+            if c != a and c != b:
+                decomposable.add(c)
+    return [c for c in range(sg.m) if c not in decomposable]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_indecomposables_match_the_pair_oracle(ab2, data):
+    sg = data.draw(
+        st.just(ab2) | small_tables().map(semigroup_or_none).filter(lambda sg: sg is not None)
+    )
+    assert list(indecomposables(sg)) == _indecomposables_oracle(sg)
+
+
 def test_prime_subsets(ab2, ab3):
     assert is_prime_subset(ab3, construct_witness(3, "V"))
     assert is_prime_subset(ab2, [ab2.index_of("xi(1,2)")])
