@@ -13,7 +13,7 @@ import functools
 import io
 import itertools
 import json
-from typing import Callable, Iterable, Iterator, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,18 +87,51 @@ class IndexSet:
         return f"IndexSet(m={self.m}, indices={list(self)})"
 
 
-def _associativity_failure(
-    table: np.ndarray, rows: list[list[int]], cols: list[list[int]]
-) -> tuple[int, int, int] | None:
+def _generating_set(rows: list[list[int]]) -> list[int]:
+    """The greedy generating set G of ``FiniteSemigroup.from_elements``.
+
+    The same right-Cayley-graph walk (Froidure & Pin, *Algorithms for
+    computing finite semigroups*, 1997), read from ``rows``: the elements
+    are walked in index order, one not yet reached becomes a generator, and
+    the reached set is closed again by adding each generator on the right.
+    Every element is reached, as a sum of generators, so G generates under
+    any binary operation; for an associative table it is the G that
+    ``from_elements`` calls ``add_fn`` for (|G| = 12, 33 and 120 for A+(B_n)
+    at n = 2, 3, 4).
+    """
+    m = len(rows)
+    seen = [False] * m
+    gens: list[int] = []
+    reached: list[int] = []
+    for g in range(m):
+        if seen[g]:
+            continue
+        seen[g] = True
+        gens.append(g)
+        # the new members: g, x + g for x reached before, then their right
+        # multiples by every generator, breadth first
+        new = [g]
+        for x in reached:
+            c = rows[x][g]
+            if not seen[c]:
+                seen[c] = True
+                new.append(c)
+        for y in new:
+            for c in map(rows[y].__getitem__, gens):
+                if not seen[c]:
+                    seen[c] = True
+                    new.append(c)
+        reached += new
+    return gens
+
+
+def _associativity_failure(table: np.ndarray, rows: list[list[int]]) -> tuple[int, int, int] | None:
     """Return a violating triple (x, g, y), or None if the table is associative.
 
     Light's test (Clifford & Preston, Algebraic Theory of Semigroups I, 1.2):
     in any magma the elements g with (x + g) + y = x + (g + y) for all x and
-    y form a closed set, so it is enough to check g over a generating set G.
-    A greedy pass in ascending index order puts an element into G when it is
-    not yet in the closure of the earlier ones (|G| = 12, 33 and 120 for
-    A+(B_n) at n = 2, 3, 4), so the check costs m * m * |G| lookups. It is
-    the G whose columns ``FiniteSemigroup.from_elements`` computes.
+    y form a closed set, so it is enough to check g over a generating set G,
+    here ``_generating_set``. The check costs m * m * |G| lookups.
     """
     by_col = np.ascontiguousarray(table.T)  # by_col[b][a] = a + b
     # Both products go into reused buffers: with a fresh pair of m x m
@@ -107,12 +140,7 @@ def _associativity_failure(
     # "clip" lets numpy write into ``out`` without a buffer; every index is
     # in range.
     left_t, right = np.empty_like(by_col), np.empty_like(by_col)
-    bits = 0
-    elems: list[int] = []
-    for g in range(len(rows)):
-        if bits >> g & 1:
-            continue
-        bits = extend_closure(rows, cols, bits, elems, g)
+    for g in _generating_set(rows):
         # left_t[x, y] = (x + g) + y against right[y, x] = x + (g + y)
         np.take(table, by_col[g], axis=0, out=left_t, mode="clip")
         np.take(by_col, table[g], axis=0, out=right, mode="clip")
@@ -122,17 +150,60 @@ def _associativity_failure(
     return None
 
 
+def _bitmasks(packed: np.ndarray) -> list[int]:
+    """Each row of a bit matrix packed little-endian as an int bitmask."""
+    width = packed.shape[1]
+    buf = packed.tobytes()
+    return [int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width)]
+
+
+def _line_fibers(lines: np.ndarray) -> tuple[list[int], list[dict[int, int]]]:
+    """Value mask and fibers of each line a of ``lines``: bit c of
+    ``values[a]`` iff some lines[a, b] = c, and ``fibers[a][c]`` the bitmask
+    of those b, one key per value."""
+    m = len(lines)
+    width = (m + 7) // 8
+    flat = (lines + np.arange(0, m * m, m, dtype=np.int32)[:, None]).ravel()  # a * m + lines[a, b]
+    present = np.zeros(m * m, dtype=bool)
+    present[flat] = True  # present[a * m + c]: c is a value of line a
+    # the fiber of each (a, b), numbered line by line, values ascending
+    seen = np.cumsum(present, dtype=np.int32)
+    ids = seen[flat] - 1
+    b = np.tile(np.arange(m, dtype=np.int32), m)
+    packed = np.zeros(int(seen[-1]) * width, dtype=np.uint8)
+    # each bit is set once, so adding is or-ing
+    np.add.at(packed, ids * width + (b >> 3), (1 << (b & 7)).astype(np.uint8))
+    present = present.reshape(m, m)
+    masks = iter(zip(np.nonzero(present)[1].tolist(), _bitmasks(packed.reshape(-1, width))))
+    fibers = [dict(itertools.islice(masks, k)) for k in present.sum(axis=1).tolist()]
+    return _bitmasks(np.packbits(present, axis=1, bitorder="little")), fibers
+
+
+class Sums(NamedTuple):
+    """The sums of a table grouped by value, for the closure kernel.
+
+    ``row_values[a]`` is the bitmask of a + S and ``col_values[a]`` that of
+    S + a. ``row_fibers[a]`` maps each value c of a + S to the bitmask of the
+    b with a + b = c, and ``col_fibers[a]`` each value c of S + a to that of
+    the b with b + a = c. ``rows`` is ``FiniteSemigroup.rows``.
+    """
+
+    rows: list[list[int]]
+    row_values: list[int]
+    col_values: list[int]
+    row_fibers: list[dict[int, int]]
+    col_fibers: list[dict[int, int]]
+
+
 class FiniteSemigroup:
     """An indexed element list with labels plus its full Cayley table.
 
     Every table is checked in full for associativity at construction, by
     Light's test. ``rows`` holds the table as plain Python lists
-    (``rows[a][b] = a + b``) for tight search loops, and ``cols`` the
-    transposed table (``cols[b][a] = a + b``), built from ``rows`` so that
-    both share their int objects (at n = 4, ``table.T.tolist()`` would box
-    another 431k ints). Instances are immutable after construction; an
-    int32 array given as ``table`` is kept as ``table`` without a copy and
-    made read-only.
+    (``rows[a][b] = a + b``) for tight search loops, and ``sums`` groups
+    each row and column by value for the closure kernel. Instances are
+    immutable after construction; an int32 array given as ``table`` is kept
+    as ``table`` without a copy and made read-only.
     """
 
     def __init__(self, labels, table, n: int | None = None):
@@ -157,8 +228,7 @@ class FiniteSemigroup:
             raise TableValidationError("table entries must be element indices in [0, m)")
         arr = arr.astype(np.int32, copy=False)
         rows = arr.tolist()
-        cols = [list(c) for c in zip(*rows)]
-        bad = _associativity_failure(arr, rows, cols)
+        bad = _associativity_failure(arr, rows)
         if bad is not None:
             a, b, c = bad
             raise TableValidationError(
@@ -168,7 +238,6 @@ class FiniteSemigroup:
         self.labels = labels
         self.table = arr
         self.rows = rows
-        self.cols = cols
         self.n = n
 
     @property
@@ -176,19 +245,31 @@ class FiniteSemigroup:
         return len(self.labels)
 
     @functools.cached_property
+    def sums(self) -> Sums:
+        """The table's sums grouped by value (``Sums``), for the closure kernel.
+
+        Built with numpy on first use (about 45 ms at n = 4 on a 2-vCPU
+        VM), so tables that are only built and validated skip it.
+        """
+        row_values, row_fibers = _line_fibers(self.table)
+        col_values, col_fibers = _line_fibers(self.table.T)
+        return Sums(self.rows, row_values, col_values, row_fibers, col_fibers)
+
+    @functools.cached_property
     def ideals(self) -> list[int]:
         """Bitmask of the principal two-sided ideal S¹xS¹ of each element x.
 
         S¹xS¹ is the union over u in {x} ∪ (x + S) of {u} ∪ (S + u): the
-        right ideal read from ``rows``, then the left ideal of each of its
-        members from ``cols``. Built on first use (about 1 ms at n = 3 and
-        20 ms at n = 4), so tables that never test independence skip it.
+        right ideal read from the values of x's row (the keys of its fibers
+        in ``sums``), then the left ideal of each of its members from the
+        column value masks.
         """
-        left = _one_sided_ideals(self.cols)
+        sums = self.sums
+        left = [1 << u | bits for u, bits in enumerate(sums.col_values)]
         out = []
-        for x, row in enumerate(self.rows):
+        for x, fibers in enumerate(sums.row_fibers):
             bits = left[x]
-            for u in set(row):
+            for u in fibers:
                 bits |= left[u]
             out.append(bits)
         return out
@@ -287,81 +368,78 @@ class FiniteSemigroup:
 # --- closure and generation ------------------------------------------------
 
 
-# Below this many members a popped element's products are scanned member by
-# member; from it on they are read by C-level ``map`` into a set, whose
-# set-up costs more than it saves on small sets. Swept with perfbench/run.py
-# (2-vCPU Xeon VM, times at nominal speed, two 15 s runs per value):
-#   threshold                 8      16      24      32      48   never
-#   verify-n2 wall_s (s)   2.12    1.83    1.80    1.79    1.81    1.80
-#   search-r4-n3 nodes/s  3.09k   3.09k   3.01k   3.10k   2.83k   1.87k
-# 16 to 32 are alike within the noise; 24 sits in the middle of that range.
-# That sweep predates the ideal filter of the leave-one-out closures
-# (``independent_bits``, ``ranks.upper_rank_search``), which leaves far fewer
-# and mostly smaller extensions. The two extremes were checked again after
-# it (same VM, nominal speed, two 15 s runs per value):
-#   threshold                 0      24   never
-#   verify-n2 wall_s (s)   1.40    1.17    1.15
-#   search-r4-n3 nodes/s  41.4k   42.0k   29.2k
-#   verify-n4 wall_s (s)   0.73    0.76    0.86
-# Small sets still favour the loop and large ones the set, so 24 stays.
-SCAN_SET_MIN = 24
+def extend_closure(sums: Sums, bits: int, x: int) -> int:
+    """The closure of the closed set ``bits`` with element ``x``, as a bitmask.
 
-
-def extend_closure(
-    rows: list[list[int]], cols: list[list[int]], bits: int, elems: list[int], x: int
-) -> int:
-    """Absorb element ``x`` into a closed set given as (bits, member list).
-
-    ``elems`` must list exactly the members of ``bits`` and is mutated by
-    appending the newly reachable elements; the updated bitmask is returned.
-    Callers that need rollback truncate ``elems`` back to its prior length.
-    ``cols`` is the transposed table (``FiniteSemigroup.cols``).
-
-    Each popped element a is combined with every member b present at that
-    time, as a + b and b + a. A new element is appended before it is popped,
-    so each pair is formed when the later of its two elements is popped.
+    Each popped element a adds, on each side, the sums a + b (b + a) with b
+    in the set that are not in it yet. Of two ways to find them it takes the
+    shorter one, by sizes it already has: where the set has more members
+    than the row (column) of a has values, each value c not yet in the set
+    joins iff its fiber meets the set; otherwise the members b are scanned
+    through ``rows``. A popped element is tested against every member
+    present at that time and a new one is pushed when it joins, so each pair
+    is tested when the later of its two elements is popped.
     """
     if bits >> x & 1:
         return bits
+    rows, row_values, col_values, row_fibers, col_fibers = sums
     bits |= 1 << x
-    elems.append(x)
+    size = bits.bit_count()
     stack = [x]
-    pop = stack.pop
     push = stack.append
-    add = elems.append
     while stack:
-        a = pop()
-        if len(elems) >= SCAN_SET_MIN:
-            found = set(map(rows[a].__getitem__, elems))
-            found.update(map(cols[a].__getitem__, elems))
-            for c in found:
+        a = stack.pop()
+        fibers = row_fibers[a]
+        if len(fibers) > size:
+            row = rows[a]
+            scan = bits
+            while scan:
+                low = scan & -scan
+                scan ^= low
+                c = row[low.bit_length() - 1]
                 if not bits >> c & 1:
                     bits |= 1 << c
-                    add(c)
+                    size += 1
                     push(c)
-            continue
-        ra = rows[a]
-        ca = cols[a]
-        for b in elems:
-            c = ra[b]
-            if not bits >> c & 1:
-                bits |= 1 << c
-                add(c)
-                push(c)
-            c = ca[b]
-            if not bits >> c & 1:
-                bits |= 1 << c
-                add(c)
-                push(c)
+        else:
+            new = row_values[a] & ~bits
+            while new:
+                low = new & -new
+                new ^= low
+                c = low.bit_length() - 1
+                if fibers[c] & bits:
+                    bits |= low
+                    size += 1
+                    push(c)
+        fibers = col_fibers[a]
+        if len(fibers) > size:
+            scan = bits
+            while scan:
+                low = scan & -scan
+                scan ^= low
+                c = rows[low.bit_length() - 1][a]
+                if not bits >> c & 1:
+                    bits |= 1 << c
+                    size += 1
+                    push(c)
+        else:
+            new = col_values[a] & ~bits
+            while new:
+                low = new & -new
+                new ^= low
+                c = low.bit_length() - 1
+                if fibers[c] & bits:
+                    bits |= low
+                    size += 1
+                    push(c)
     return bits
 
 
-def closure_bits(rows: list[list[int]], cols: list[list[int]], seed_bits: int) -> int:
+def closure_bits(sums: Sums, seed_bits: int) -> int:
     """Bitmask of the subsemigroup generated by ``seed_bits`` (empty -> empty)."""
     bits = 0
-    elems: list[int] = []
     for x in iter_bits(seed_bits):
-        bits = extend_closure(rows, cols, bits, elems, x)
+        bits = extend_closure(sums, bits, x)
     return bits
 
 
@@ -380,16 +458,14 @@ def _coerce_bits(sg: FiniteSemigroup, subset) -> int:
 
 def closure(sg: FiniteSemigroup, subset) -> IndexSet:
     """Least superset of ``subset`` closed under the table; empty stays empty."""
-    return IndexSet.from_bits(sg.m, closure_bits(sg.rows, sg.cols, _coerce_bits(sg, subset)))
+    return IndexSet.from_bits(sg.m, closure_bits(sg.sums, _coerce_bits(sg, subset)))
 
 
 def is_generating(sg: FiniteSemigroup, subset) -> bool:
-    return closure_bits(sg.rows, sg.cols, _coerce_bits(sg, subset)) == (1 << sg.m) - 1
+    return closure_bits(sg.sums, _coerce_bits(sg, subset)) == (1 << sg.m) - 1
 
 
-def independent_bits(
-    rows: list[list[int]], cols: list[list[int]], ideals: list[int], bits: int
-) -> bool:
+def independent_bits(sums: Sums, ideals: list[int], bits: int) -> bool:
     """True iff no member of ``bits`` lies in the closure of the other members.
 
     A sum g_1 + ... + g_k lies in the principal ideal S¹g_iS¹ of every term
@@ -402,13 +478,12 @@ def independent_bits(
     """
     gens = list(iter_bits(bits))
     for c in gens:
-        up = [g for g in gens if g != c and ideals[g] >> c & 1]
         closed = 0
-        elems: list[int] = []
-        for g in up:
-            closed = extend_closure(rows, cols, closed, elems, g)
-            if closed >> c & 1:
-                return False
+        for g in gens:
+            if g != c and ideals[g] >> c & 1:
+                closed = extend_closure(sums, closed, g)
+                if closed >> c & 1:
+                    return False
     return True
 
 
@@ -420,36 +495,25 @@ def is_independent(sg: FiniteSemigroup, subset) -> bool:
     bits = _coerce_bits(sg, subset)
     if bits == 0:
         raise InvalidParameterError("independence is defined for nonempty subsets")
-    return independent_bits(sg.rows, sg.cols, sg.ideals, bits)
+    return independent_bits(sg.sums, sg.ideals, bits)
 
 
 # --- structural predicates ---------------------------------------------------
-
-
-def _one_sided_ideals(lines: list[list[int]]) -> list[int]:
-    """Bitmask of {a} ∪ set(lines[a]) for each a: the principal right ideal
-    {a} ∪ (a + S) when ``lines`` is ``rows``, the left one for ``cols``."""
-    out = []
-    for a, line in enumerate(lines):
-        bits = 1 << a
-        for c in set(line):
-            bits |= 1 << c
-        out.append(bits)
-    return out
 
 
 def greens_classes(sg: FiniteSemigroup, side: Literal["R", "L"]) -> list[list[int]]:
     """Partition of [0, m) by equality of principal one-sided ideals.
 
     a R b iff {a} + aS equals {b} + bS as sets (monoid-completion semantics),
-    read from the rows of the table; L mirrors with left products, read from
-    its columns.
+    read from the row value masks of ``sg.sums``; L mirrors with left
+    products, read from the column value masks.
     """
     if side not in ("R", "L"):
         raise InvalidParameterError("side must be 'R' or 'L'")
+    sums = sg.sums
     sigs: dict[int, list[int]] = {}
-    for a, bits in enumerate(_one_sided_ideals(sg.rows if side == "R" else sg.cols)):
-        sigs.setdefault(bits, []).append(a)
+    for a, bits in enumerate(sums.row_values if side == "R" else sums.col_values):
+        sigs.setdefault(1 << a | bits, []).append(a)
     return sorted(sigs.values())
 
 
@@ -484,7 +548,7 @@ def is_prime_subset(sg: FiniteSemigroup, subset) -> bool:
     if bits == 0:
         raise InvalidParameterError("prime subsets are nonempty by definition")
     rest = ((1 << sg.m) - 1) & ~bits
-    return closure_bits(sg.rows, sg.cols, rest) == rest
+    return closure_bits(sg.sums, rest) == rest
 
 
 # --- table IO ----------------------------------------------------------------

@@ -9,12 +9,11 @@ returned. ``plan_rank`` decides how each rank of A+(B_n) is obtained.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
 from math import comb, factorial, isfinite
-
-import numpy as np
 
 from . import engine
 from .affine import (
@@ -290,7 +289,7 @@ def small_rank(sg: FiniteSemigroup, budget: SearchBudget | None = None) -> RankV
 
 def _small_rank_bruteforce(sg: FiniteSemigroup, budget: SearchBudget | None) -> RankValue:
     clock = _Clock(budget)
-    rows, cols, ideals = sg.rows, sg.cols, sg.ideals
+    sums, ideals = sg.sums, sg.ideals
     m = sg.m
     # singletons are always independent (nothing generates from the empty
     # set), so the scan starts at pairs and the first failing level ends it
@@ -302,7 +301,7 @@ def _small_rank_bruteforce(sg: FiniteSemigroup, budget: SearchBudget | None) -> 
             bits = 0
             for i in combo:
                 bits |= 1 << i
-            if not engine.independent_bits(rows, cols, ideals, bits):
+            if not engine.independent_bits(sums, ideals, bits):
                 return _rank(sg, clock, value=k - 1, provenance=PROV_SEARCH,
                              detail=f"dependent {k}-subset found")
     return _rank(sg, clock, value=m, provenance=PROV_SEARCH,
@@ -312,22 +311,30 @@ def _small_rank_bruteforce(sg: FiniteSemigroup, budget: SearchBudget | None) -> 
 # --- r2: lower rank ------------------------------------------------------------
 
 
+def _first_factors(sg: FiniteSemigroup) -> list[int]:
+    """For each c, the bitmask of the a whose row holds c (some a + b = c).
+
+    Read from the fibers of ``sg.sums``: each a is marked once per value in
+    its row (about 16 of the 657 at n = 4).
+    """
+    first = [0] * sg.m
+    for a, fibers in enumerate(sg.sums.row_fibers):
+        abit = 1 << a
+        for c in fibers:
+            first[c] |= abit
+    return first
+
+
 def first_factor_lower_bound(sg: FiniteSemigroup) -> tuple[int, list[int]]:
     """Sound lower bound on minimum generating size from the table alone.
 
     For every element f, any generating set must contain f itself or some a
     that opens a two-term product a + b = f. A family of elements whose
     first-factor sets are pairwise disjoint therefore bounds the minimum
-    generating size from below; a greedy pass picks such a family. Each a
-    is marked once per distinct sum in its row (about 16 of the 657 at n = 4).
+    generating size from below; a greedy pass picks such a family.
     """
-    m = sg.m
-    first = [1 << f for f in range(m)]
-    for a, row in enumerate(sg.rows):
-        abit = 1 << a
-        for c in set(row):
-            first[c] |= abit
-    order = sorted(range(m), key=lambda f: (first[f].bit_count(), f))
+    first = [1 << f | bits for f, bits in enumerate(_first_factors(sg))]
+    order = sorted(range(sg.m), key=lambda f: (first[f].bit_count(), f))
     taken = 0
     picks: list[int] = []
     for f in order:
@@ -364,14 +371,15 @@ def lower_rank_exact(
     A known generating witness of size t caps the sweep at t - 1: if no
     smaller set generates, the witness is minimal. The witness is checked
     once, on entry, and a set the sweep finds once, when it is found. A
-    level whose node count could exceed what is left of the budget is not
-    started, and a level the budget cuts short proves nothing about its own
-    size; either way the result is (proven lower, best upper) bounds,
-    unless the lower bound already meets the witness. The indecomposables
-    are found only once a level is started.
+    level whose walk, counted in full with the pruning, would visit more
+    prefixes than there are nodes left is not started, and a level the
+    budget cuts short proves nothing about its own size; either way the
+    result is (proven lower, best upper) bounds, unless the lower bound
+    already meets the witness. The indecomposables are found once, before
+    the first level is counted.
     """
     clock = _Clock(budget)
-    rows, cols = sg.rows, sg.cols
+    sums = sg.sums
     m = sg.m
     full = (1 << m) - 1
     lb, _family = first_factor_lower_bound(sg)
@@ -380,14 +388,28 @@ def lower_rank_exact(
     wit: tuple[int, ...] | None = None
     if witness is not None:
         bits = engine._coerce_bits(sg, witness)
-        if closure_bits(rows, cols, bits) != full:
+        if closure_bits(sums, bits) != full:
             raise WitnessVerificationError("provided witness does not generate")
         wit = tuple(iter_bits(bits))
     top = len(wit) - 1 if wit else m
 
     chosen: list[int] = []
-    elems: list[int] = []
     ind: int | None = None
+
+    @functools.cache
+    def visits(start: int, left: int) -> int:
+        # the prefixes ``sweep(start, ..., left, ...)`` visits when nothing
+        # stops it, below a prefix holding every indecomposable under start
+        if not left:
+            return 0
+        ahead = ind >> start
+        if not ahead:
+            # the d picks from [start, m) that extend to ``left`` picks, for
+            # d = 1..left: the sum of C(m - start - left + d, d), which is
+            # C(m - start + 1, left) - 1 (hockey-stick identity)
+            return comb(m - start + 1, left) - 1
+        stop = min(m - left + 1, start + (ahead & -ahead).bit_length())
+        return sum(1 + visits(i + 1, left - 1) for i in range(start, stop))
 
     def sweep(start: int, bits: int, left: int, cbits: int) -> bool:
         # ``left`` more elements to pick after the prefix ``cbits``; False
@@ -401,25 +423,23 @@ def lower_rank_exact(
         for i in range(start, stop):
             if not clock.spend():
                 return False
-            mark = len(elems)
-            nb = extend_closure(rows, cols, bits, elems, i)
+            nb = extend_closure(sums, bits, i)
             chosen.append(i)
-            if len(elems) == m or left > 1 and not sweep(i + 1, nb, left - 1, cbits | 1 << i):
+            if nb == full or left > 1 and not sweep(i + 1, nb, left - 1, cbits | 1 << i):
                 return False
             chosen.pop()
-            del elems[mark:]
         return True
 
     for k in range(min(lb, top), top + 1):
-        if sum(comb(m, d) for d in range(1, k + 1)) > clock.nodes_left:
-            detail = f"sweep of {k}-subsets exceeds node budget"
-            break
         if ind is None:
             ind = engine.indecomposables(sg).bits
+        if visits(0, k) > clock.nodes_left:
+            detail = f"sweep of {k}-subsets exceeds node budget"
+            break
         if k and not sweep(0, 0, k, 0):  # k = 0: the empty set generates nothing
             if clock.ok:
                 found = tuple(chosen)
-                if closure_bits(rows, cols, sum(1 << i for i in found)) != full:
+                if closure_bits(sums, sum(1 << i for i in found)) != full:
                     raise WitnessVerificationError("minimum generating witness failed re-check")
                 return _rank(sg, clock, value=len(found), provenance=PROV_SEARCH, witness=found)
             detail = "budget exhausted mid-sweep"
@@ -543,18 +563,17 @@ def upper_rank_search(
     follows the members it reaches, not |chosen|.
 
     Each include passes its child a copy of ``minus_bits`` with the touched
-    slots replaced, and the new closure and bitmask of the chosen set; on
-    the way back only the member lists that ``extend_closure`` grew in place
-    (``all_elems`` and the touched ``minus_elems``) are truncated.
+    slots replaced, and the new closure and bitmask of the chosen set, so
+    the way back restores nothing.
     """
     clock = _Clock(budget)
-    rows, cols, ideals = sg.rows, sg.cols, sg.ideals
+    sums, ideals = sg.sums, sg.ideals
     m = sg.m
     full_mask = (1 << m) - 1
 
     # comp[i]: the j with j not in <i> and i not in <j>; in_cyc is the
     # transpose of the cyclic closures (bit j of in_cyc[i] iff i in <j>)
-    cyc = [closure_bits(rows, cols, 1 << i) for i in range(m)]
+    cyc = [closure_bits(sums, 1 << i) for i in range(m)]
     in_cyc = [0] * m
     for j, c in enumerate(cyc):
         for i in iter_bits(c):
@@ -572,8 +591,6 @@ def upper_rank_search(
 
     chosen: list[int] = []
     slot = [0] * m  # slot[c] = r for the chosen member c = chosen[r]
-    minus_elems: list[list[int]] = []
-    all_elems: list[int] = []
     complete = True
 
     def rec(cand: int, minus_bits: list[int], all_bits: int, chosen_bits: int) -> None:
@@ -594,35 +611,27 @@ def upper_rank_search(
 
             # x is no factor of any sum equal to a c outside its ideal
             reach = ideals[x] & chosen_bits
-            touched: list[tuple[int, int, int]] = []  # (r, mark, new closure)
+            touched: list[tuple[int, int]] = []  # (r, new closure)
             while reach:
                 low = reach & -reach
                 reach ^= low
                 c = low.bit_length() - 1
                 r = slot[c]
-                elems = minus_elems[r]
-                mark = len(elems)
-                nb = extend_closure(rows, cols, minus_bits[r], elems, x)
-                touched.append((r, mark, nb))
+                nb = extend_closure(sums, minus_bits[r], x)
+                touched.append((r, nb))
                 if nb >> c & 1:
                     break
             else:  # no chosen member is generated by the others with x
                 new_minus = minus_bits[:]
-                for r, _, nb in touched:
+                for r, nb in touched:
                     new_minus[r] = nb
                 # x's own leave-one-out closure is the closure of chosen
                 new_minus.append(all_bits)
-                minus_elems.append(all_elems[:])
-                mark = len(all_elems)
-                new_all = extend_closure(rows, cols, all_bits, all_elems, x)
+                new_all = extend_closure(sums, all_bits, x)
                 slot[x] = len(chosen)
                 chosen.append(x)
                 rec(cand & comp[x] & ~new_all, new_minus, new_all, chosen_bits | 1 << x)
                 chosen.pop()
-                del all_elems[mark:]
-                minus_elems.pop()
-            for r, mark, _ in touched:
-                del minus_elems[r][mark:]
 
     rec(full_mask, [], 0, 0)
 
@@ -637,17 +646,21 @@ def upper_rank_search(
 # --- r5: large rank ---------------------------------------------------------------
 
 
-def _pairs_into(table: np.ndarray) -> list[list[int]]:
-    """For each u, the flat positions p = a*m + b with a + b = u, ascending.
+def _violated_pair(row_fibers: list[dict[int, int]], first: list[int], bits: int
+                   ) -> tuple[int, int] | None:
+    """The (a, b) of the first (u, a, b) in ascending order with u in
+    ``bits``, a + b = u and neither a nor b in ``bits``; None if there is none.
 
-    A stable sort of the flattened table keeps each u's pairs in (a, b)
-    order; flat positions cost one int per pair where (a, b) tuples cost a
-    tuple and two ints (431k pairs at n = 4).
+    Read from the row fibers of ``FiniteSemigroup.sums``: for each member u,
+    the lowest non-member a whose row holds u (``first`` is
+    ``_first_factors``), then the lowest non-member b in its fiber of u.
     """
-    flat = table.ravel()
-    order = np.argsort(flat, kind="stable")
-    cuts = np.searchsorted(flat[order], np.arange(1, table.shape[0]))
-    return [part.tolist() for part in np.split(order, cuts)]
+    for u in iter_bits(bits):
+        for a in iter_bits(first[u] & ~bits):
+            free = row_fibers[a][u] & ~bits
+            if free:
+                return a, (free & -free).bit_length() - 1
+    return None
 
 
 def smallest_prime_subset(
@@ -664,8 +677,9 @@ def smallest_prime_subset(
     Size 1 reduces to indecomposable elements. Beyond that, every prime set
     containing a chosen seed must hit every two-term decomposition of each
     member, so branching on the two factors of a violated decomposition
-    enumerates all minimal candidates, one budget node per branch. The caps
-    2, 3, ... are searched in turn, so a level that completes proves its size.
+    enumerates all minimal candidates, one budget node per branch (on the
+    decomposition ``_violated_pair`` picks). The caps 2, 3, ... are
+    searched in turn, so a level that completes proves its size.
     """
     m = sg.m
     ind = engine.indecomposables(sg)
@@ -673,23 +687,16 @@ def smallest_prime_subset(
         return (next(iter(ind)),), 0
     if size_cap < 2:
         return None, size_cap
-    pairs = _pairs_into(sg.table)
+    row_fibers = sg.sums.row_fibers
+    first = _first_factors(sg)
 
     best: list[tuple[int, ...]] = []
-
-    def violated(bits: int) -> tuple[int, int] | None:
-        for u in iter_bits(bits):
-            for p in pairs[u]:
-                a, b = divmod(p, m)
-                if not bits >> a & 1 and not bits >> b & 1:
-                    return a, b
-        return None
 
     def rec(bits: int, size: int, cap: int) -> bool:
         # False once the budget is gone
         if not clock.spend():
             return False
-        v = violated(bits)
+        v = _violated_pair(row_fibers, first, bits)
         if v is None:
             cand = tuple(iter_bits(bits))
             if len(cand) < m:

@@ -185,12 +185,12 @@ def test_criterion_9_property_suites(ab2, ab3):
         for n in (1, 2, 3, 4, 5, 6, 8):
             assert rank_formulas(n).chain_violations() == []
         # hereditary independence, exhaustive over all subsets of size <= 4
-        rows, cols = ab2.rows, ab2.cols
+        sums = ab2.sums
         closure_memo = {0: 0}
         for size in (1, 2, 3):
             for combo in itertools.combinations(range(29), size):
                 bits = sum(1 << i for i in combo)
-                closure_memo[bits] = closure_bits(rows, cols, bits)
+                closure_memo[bits] = closure_bits(sums, bits)
         ind_cache = {}
         for size in (1, 2, 3, 4):
             for combo in itertools.combinations(range(29), size):

@@ -144,6 +144,16 @@ def test_prime_keeps_its_budget(capsys):
     assert r5["detail"] == "budget exhausted; no proper prime subset of size <= 1"
 
 
+def test_rank_r2_sweeps_when_the_pruned_sweep_fits_the_node_limit(capsys):
+    # the exhaustive n = 2 sweep takes 3,283 nodes, far below the limit
+    argv = ("rank", "--n", "2", "--which", "r2", "--node-limit", "100000", "--format", "json")
+    code, out, _ = invoke(capsys, *argv)
+    assert code == EXIT_OK
+    r2 = json.loads(out)["ranks"]["r2"]
+    assert (r2["provenance"], r2["value"]) == ("exact-search", 6)
+    assert r2["detail"] == "no generating subset of size 5 (exhaustive)"
+
+
 def test_invalid_arguments(capsys):
     assert invoke(capsys, "count", "--n", "0")[0] == EXIT_USAGE
     assert invoke(capsys, "count")[0] == EXIT_USAGE

@@ -113,7 +113,17 @@ def test_constants_table_equals_the_per_pair_table(n):
     assert FiniteSemigroup.from_elements(consts, add).rows == _per_pair_rows(consts, add)
 
 
-@pytest.mark.parametrize("n, calls", [(2, 348), (3, 4_785), (4, 78_840)])
+def _closure_greedy_generators(sg):
+    """Each element, in index order, that the earlier picks do not generate."""
+    bits, gens = 0, []
+    for g in range(sg.m):
+        if not bits >> g & 1:
+            gens.append(g)
+            bits = extend_closure(sg.sums, bits, g)
+    return gens
+
+
+@pytest.mark.parametrize("n, calls", [(1, 9), (2, 348), (3, 4_785), (4, 78_840)])
 def test_from_elements_calls_add_fn_only_for_generator_columns(n, calls):
     elems = enumerate_a_plus(n)
     index = {e: i for i, e in enumerate(elems)}
@@ -125,15 +135,11 @@ def test_from_elements_calls_add_fn_only_for_generator_columns(n, calls):
 
     sg = FiniteSemigroup.from_elements(elems, add, [map_label(f) for f in elems], n=n)
     gens = sorted(set(right))
-    assert len(right) == calls == sg.m * len(gens)  # |G| = 12, 33, 120
+    assert len(right) == calls == sg.m * len(gens)  # |G| = 3, 12, 33, 120
     assert sg == a_plus_semigroup(n)
-    # G is the greedy generating set: each g lies outside the closure of the
-    # earlier ones, and together they generate everything
-    bits, members = 0, []
-    for g in gens:
-        assert not bits >> g & 1
-        bits = extend_closure(sg.rows, sg.cols, bits, members, g)
-    assert bits == (1 << sg.m) - 1
+    # G is the greedy generating set, each element that the earlier ones do
+    # not generate; Light's test walks the rows to the same G
+    assert gens == _closure_greedy_generators(sg) == engine._generating_set(sg.rows)
 
 
 def test_from_elements_names_both_labels_of_a_sum_outside_the_list():
@@ -226,13 +232,17 @@ def test_single_bad_triple_rejected_large_random(data):
     assert f"associativity fails at (x{a}, x{b}, x{c})" in str(err.value)
 
 
+SEMIGROUP_KINDS = ("left", "right", "const", "max", "cyclic")
+
+
 @st.composite
-def small_tables(draw):
+def small_tables(draw, kinds=("random",) + SEMIGROUP_KINDS):
     """Tables of m <= 12 elements: a random one, or a semigroup (left zero,
     right zero, constant, max semilattice, cyclic group) with up to two
-    entries overwritten."""
+    entries overwritten. ``kinds`` narrows the choice; most random tables
+    are not associative."""
     m = draw(st.integers(1, 12))
-    kind = draw(st.sampled_from(["random", "left", "right", "const", "max", "cyclic"]))
+    kind = draw(st.sampled_from(kinds))
     entry = st.integers(0, m - 1)
     if kind == "random":
         return draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
@@ -254,8 +264,7 @@ def small_tables(draw):
 def test_light_test_matches_exhaustive_check(table):
     expected = _violations(table)
     rows = [list(r) for r in table]
-    cols = [list(c) for c in zip(*rows)]
-    found = engine._associativity_failure(np.asarray(table, dtype=np.int32), rows, cols)
+    found = engine._associativity_failure(np.asarray(table, dtype=np.int32), rows)
     if expected:
         assert found in expected
         with pytest.raises(TableValidationError):
@@ -311,6 +320,44 @@ def test_closure_is_idempotent_and_contains_seed(ab2, xs):
     assert closure(ab2, c) == c
 
 
+def _check_sums(sg):
+    """``sg.sums`` reproduces the table: each (a, b) lies in exactly one
+    fiber of row a and one of column b, the one of a + b, and each value
+    mask is its line's set of values."""
+    sums, rows, m = sg.sums, sg.rows, sg.m
+    assert sums.rows is rows
+    for a in range(m):
+        row, col = rows[a], [rows[b][a] for b in range(m)]
+        for line, values, fibers in (
+            (row, sums.row_values[a], sums.row_fibers[a]),
+            (col, sums.col_values[a], sums.col_fibers[a]),
+        ):
+            assert values == sum(1 << c for c in set(line))
+            got = [None] * m
+            for c, fiber in fibers.items():
+                for b in engine.iter_bits(fiber):
+                    assert got[b] is None
+                    got[b] = c
+            assert got == line
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sums_reproduce_the_a_plus_table(n):
+    _check_sums(a_plus_semigroup(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sums_reproduce_the_brandt_table(n):
+    _check_sums(brandt_semigroup(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_tables(SEMIGROUP_KINDS).map(lambda t: semigroup_or_none(t)))
+def test_sums_reproduce_small_tables(sg):
+    assume(sg is not None)
+    _check_sums(sg)
+
+
 def _extend_closure_oracle(rows, bits, elems, x):
     """The per-member loop: both products of each popped element with every member."""
     if bits >> x & 1:
@@ -336,38 +383,35 @@ def _oracle_closure(sg, seed):
     return bits
 
 
-def _check_extend(sg, bits, elems, x):
-    """Extend (bits, elems) by x with the kernel, check it, and return the result."""
-    prior = elems[:]
-    got = extend_closure(sg.rows, sg.cols, bits, elems, x)
-    assert got == _extend_closure_oracle(sg.rows, bits, prior[:], x)
-    assert elems[: len(prior)] == prior  # truncating restores the prior state
-    assert sorted(elems) == list(engine.iter_bits(got))  # each member exactly once
+def _check_extend(sg, bits, x):
+    """Extend the closed set ``bits`` by x with the kernel, check it, and
+    return the result."""
+    got = extend_closure(sg.sums, bits, x)
+    assert got == _extend_closure_oracle(sg.rows, bits, list(engine.iter_bits(bits)), x)
     return got
-
-
-def test_cols_share_the_ints_of_rows(ab3, ab4):
-    for sg in (ab3, ab4):
-        rows, cols = sg.rows, sg.cols
-        assert all(cols[a][b] is rows[b][a] for a in range(sg.m) for b in range(sg.m))
 
 
 @pytest.mark.parametrize("n, kinds", [(2, ("S", "I")), (3, ("S", "T"))])
 def test_extend_closure_matches_oracle_on_both_sides_of_the_scan_threshold(n, kinds, request):
+    # the kernel scans the members where a line of the table holds more
+    # values than the set has members, and reads the fibers elsewhere: the
+    # closure of S is shorter than the longest lines, that of I or T longer
+    # than the average line
     sg = request.getfixturevalue(f"ab{n}")
     starts = [_oracle_closure(sg, construct_witness(n, kind)) for kind in kinds]
     sizes = [bits.bit_count() for bits in starts]
-    assert min(sizes) < engine.SCAN_SET_MIN <= max(sizes) < sg.m
+    lines = [v.bit_count() for v in sg.sums.row_values + sg.sums.col_values]
+    assert min(sizes) < max(lines) and sum(lines) / len(lines) < max(sizes) < sg.m
     for bits in starts:
         for x in range(sg.m):
-            _check_extend(sg, bits, list(engine.iter_bits(bits)), x)
+            _check_extend(sg, bits, x)
 
 
 def _extensions(n, m, max_seed):
     """A seed, then extension steps (element, whether to roll the step back).
 
-    Random elements mostly generate closed sets below SCAN_SET_MIN; seeds
-    drawn from the independent witness I reach both sides of it.
+    Random elements mostly generate small closed sets; seeds drawn from the
+    independent witness I also reach large ones.
     """
     seed = st.one_of(
         st.lists(st.integers(0, m - 1), max_size=3),
@@ -380,14 +424,13 @@ def _extensions(n, m, max_seed):
 
 
 def _run_extensions(sg, seed, steps):
-    bits, elems = 0, []
+    bits = 0
     for x in seed:
-        bits = _check_extend(sg, bits, elems, x)
+        bits = _check_extend(sg, bits, x)
     for x, roll_back in steps:
-        mark, before = len(elems), bits
-        bits = _check_extend(sg, bits, elems, x)
+        before = bits
+        bits = _check_extend(sg, bits, x)
         if roll_back:
-            del elems[mark:]
             bits = before
 
 
@@ -444,7 +487,7 @@ def _independent_oracle(sg, subset):
     """The per-member definition: one full closure of the others per member."""
     bits = engine._coerce_bits(sg, subset)
     return all(
-        not closure_bits(sg.rows, sg.cols, bits & ~(1 << a)) >> a & 1
+        not closure_bits(sg.sums, bits & ~(1 << a)) >> a & 1
         for a in engine.iter_bits(bits)
     )
 
@@ -531,7 +574,7 @@ def test_independence_only_dependent_member_at_each_position():
 
 def _independence_table(sg, max_size):
     """Memoized independence of every subset of size <= max_size."""
-    rows, cols = sg.rows, sg.cols
+    sums = sg.sums
     m = sg.m
     closure_memo = {0: 0}
     for size in range(1, max_size):
@@ -539,7 +582,7 @@ def _independence_table(sg, max_size):
             bits = 0
             for i in combo:
                 bits |= 1 << i
-            closure_memo[bits] = closure_bits(rows, cols, bits)
+            closure_memo[bits] = closure_bits(sums, bits)
     ind = {}
     for size in range(1, max_size + 1):
         for combo in itertools.combinations(range(m), size):
@@ -680,7 +723,8 @@ def _indecomposables_oracle(sg):
 @given(st.data())
 def test_indecomposables_match_the_pair_oracle(ab2, data):
     sg = data.draw(
-        st.just(ab2) | small_tables().map(semigroup_or_none).filter(lambda sg: sg is not None)
+        st.just(ab2)
+        | small_tables(SEMIGROUP_KINDS).map(semigroup_or_none).filter(lambda sg: sg is not None)
     )
     assert list(indecomposables(sg)) == _indecomposables_oracle(sg)
 
@@ -723,12 +767,13 @@ def semigroup_or_none(table):
 @given(st.data())
 def test_prime_subset_matches_the_pair_oracle(ab2, data):
     sg = data.draw(
-        st.just(ab2) | small_tables().map(semigroup_or_none).filter(lambda sg: sg is not None)
+        st.just(ab2)
+        | small_tables(SEMIGROUP_KINDS).map(semigroup_or_none).filter(lambda sg: sg is not None)
     )
     full = (1 << sg.m) - 1
     seed = data.draw(st.integers(0, full))
     # random subsets are rarely prime; complements of subsemigroups always are
-    bits = data.draw(st.sampled_from([full, seed, full & ~closure_bits(sg.rows, sg.cols, seed)]))
+    bits = data.draw(st.sampled_from([full, seed, full & ~closure_bits(sg.sums, seed)]))
     assume(bits)
     assert is_prime_subset(sg, IndexSet.from_bits(sg.m, bits)) == _is_prime_subset_oracle(sg, bits)
 

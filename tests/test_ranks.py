@@ -37,7 +37,7 @@ from brandt_ranks.ranks import (
     smallest_prime_subset,
     upper_rank_search,
 )
-from brandt_ranks.ranks import _Clock, _pairs_into
+from brandt_ranks.ranks import _Clock
 
 BIG = SearchBudget(seconds=600.0, node_limit=10**9)
 
@@ -229,7 +229,7 @@ def _first_minimum_generating_set(sg):
     full = (1 << sg.m) - 1
     for k in range(1, sg.m + 1):
         for combo in itertools.combinations(range(sg.m), k):
-            if closure_bits(sg.rows, sg.cols, sum(1 << i for i in combo)) == full:
+            if closure_bits(sg.sums, sum(1 << i for i in combo)) == full:
                 return combo
     return None
 
@@ -287,9 +287,11 @@ def test_lower_rank_budget_exhaustion(ab2):
 @pytest.mark.parametrize(
     "node_limit, provenance, detail",
     [
-        # 146,595 = C(29, 1) + ... + C(29, 5), the most nodes the 5-subset sweep can visit
-        (146_595, PROV_SEARCH, "no generating subset of size 5 (exhaustive)"),
-        (146_594, PROV_WITNESS, "first-factor lower bound 6 matches witness size"),
+        # the 5-subset sweep visits 3,283 prefixes: those that hold every
+        # indecomposable below their last element (C(29, 1) + ... + C(29, 5)
+        # = 146,595 without that pruning)
+        (3_283, PROV_SEARCH, "no generating subset of size 5 (exhaustive)"),
+        (3_282, PROV_WITNESS, "first-factor lower bound 6 matches witness size"),
     ],
     ids=["sweep-fits", "one-node-short"],
 )
@@ -345,7 +347,7 @@ def test_indecomposables_are_exactly_the_elements_every_generating_set_needs(n, 
     # generating set holds every indecomposable (the r2 sweep's pruning lemma)
     sg = request.getfixturevalue(f"ab{n}")
     full = (1 << sg.m) - 1
-    needed = [x for x in range(sg.m) if not closure_bits(sg.rows, sg.cols, full ^ 1 << x) >> x & 1]
+    needed = [x for x in range(sg.m) if not closure_bits(sg.sums, full ^ 1 << x) >> x & 1]
     assert needed == list(engine.indecomposables(sg))
 
 
@@ -684,10 +686,19 @@ def _pairs_into_reference(rows, m):
     return out
 
 
-def test_pairs_into_matches_reference_loop_in_order(ab2, ab3):
-    for sg in (ab2, ab3):
-        got = [[divmod(p, sg.m) for p in pairs] for pairs in _pairs_into(sg.table)]
-        assert got == _pairs_into_reference(sg.rows, sg.m)
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_violated_pair_is_the_first_in_pair_order(ab2, ab3, data):
+    # the fibers give the first violated decomposition that the row-major
+    # pair lists give, so the prime-subset search tree is that of the lists
+    sg = data.draw(st.sampled_from([ab2, ab3]))
+    # random sets are rarely prime; small ones often are
+    small = st.sets(st.integers(0, sg.m - 1), min_size=1, max_size=4)
+    bits = data.draw(st.integers(1, (1 << sg.m) - 1) | small.map(lambda xs: sum(1 << i for i in xs)))
+    pairs = _pairs_into_reference(sg.rows, sg.m)
+    expected = next(((a, b) for u in engine.iter_bits(bits) for a, b in pairs[u]
+                     if not bits >> a & 1 and not bits >> b & 1), None)
+    assert ranks._violated_pair(sg.sums.row_fibers, ranks._first_factors(sg), bits) == expected
 
 
 def test_large_rank_keeps_budget(ab3):
@@ -771,7 +782,7 @@ def test_chain_allows_values_inside_overlapping_bounds():
 
 
 def _sub_semigroup(sg, seed_indices):
-    bits = closure_bits(sg.rows, sg.cols, sum(1 << i for i in seed_indices))
+    bits = closure_bits(sg.sums, sum(1 << i for i in seed_indices))
     idx = [i for i in range(sg.m) if bits >> i & 1]
     pos = {i: p for p, i in enumerate(idx)}
     table = [[pos[sg.rows[a][b]] for b in idx] for a in idx]
