@@ -15,7 +15,6 @@ from .affine import (
 from .brandt import BnElement, bn_add, bn_elements, bn_label, brandt_semigroup
 from .engine import (
     FiniteSemigroup,
-    IndexSet,
     closure,
     export_table,
     greens_classes,

@@ -1,9 +1,10 @@
 """Generic finite-semigroup machinery over an indexed Cayley table.
 
 A FiniteSemigroup is an immutable label list plus the full addition table
-as an m x m matrix of element indices. Subsets of elements travel as
-IndexSet values backed by int bitmasks, so closure and search loops stay
-bit-parallel. Everything here is pure and safe to share between threads.
+as an m x m matrix of element indices. Subsets of elements come in as
+iterables of indices and go out as ascending tuples of them; inside, the
+closure and search loops work on int bitmasks, so they stay bit-parallel.
+Everything here is pure and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import functools
 import io
 import itertools
 import json
+import operator
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -33,114 +35,74 @@ def iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-class IndexSet:
-    """A subset of [0, m) supporting size, union, insert and ordered iteration."""
+def _right_cayley_walk(
+    m: int, column: Callable[[int], list[int]]
+) -> tuple[list[int], list[list[int]], list[tuple[int, int, list[int]]]]:
+    """Walk the right Cayley graph of a finite semigroup (Froidure & Pin,
+    *Algorithms for computing finite semigroups*, 1997).
 
-    __slots__ = ("m", "bits")
+    ``column(g)`` gives the column of g (``column(g)[a] = a + g``). The
+    elements are walked in index order: one not yet reached becomes a
+    generator, and only its column is read; the reached set is then closed
+    again by adding each generator on the right, breadth first. Every
+    element is reached, as a sum of generators, so G generates under any
+    binary operation (|G| = 12, 33 and 120 for A+(B_n) at n = 2, 3, 4).
 
-    def __init__(self, m: int, indices: Iterable[int] = ()):
-        if m < 0:
-            raise InvalidParameterError("universe size must be nonnegative")
-        self.m = m
-        self.bits = 0
-        for i in indices:
-            self.add(i)
-
-    @classmethod
-    def from_bits(cls, m: int, bits: int) -> "IndexSet":
-        if bits < 0 or bits >> m:
-            raise InvalidParameterError("bitmask exceeds universe size")
-        out = cls(m)
-        out.bits = bits
-        return out
-
-    def add(self, i: int) -> None:
-        if not 0 <= i < self.m:
-            raise InvalidParameterError(f"index {i} out of range [0, {self.m})")
-        self.bits |= 1 << i
-
-    def union(self, other: "IndexSet") -> "IndexSet":
-        if not isinstance(other, IndexSet) or other.m != self.m:
-            raise InvalidParameterError("universe size mismatch in union")
-        return IndexSet.from_bits(self.m, self.bits | other.bits)
-
-    __or__ = union
-
-    def __contains__(self, i: int) -> bool:
-        return 0 <= i < self.m and (self.bits >> i) & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter_bits(self.bits)
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, IndexSet) and other.m == self.m and other.bits == self.bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.bits))
-
-    def __repr__(self) -> str:
-        return f"IndexSet(m={self.m}, indices={list(self)})"
-
-
-def _generating_set(rows: list[list[int]]) -> list[int]:
-    """The greedy generating set G of ``FiniteSemigroup.from_elements``.
-
-    The same right-Cayley-graph walk (Froidure & Pin, *Algorithms for
-    computing finite semigroups*, 1997), read from ``rows``: the elements
-    are walked in index order, one not yet reached becomes a generator, and
-    the reached set is closed again by adding each generator on the right.
-    Every element is reached, as a sum of generators, so G generates under
-    any binary operation; for an associative table it is the G that
-    ``from_elements`` calls ``add_fn`` for (|G| = 12, 33 and 120 for A+(B_n)
-    at n = 2, 3, 4).
+    Returns G, the columns of G and the steps (c, y, column of h) in
+    discovery order, with c = y + h, h in G, and y reached before c. For an
+    associative table x + (y + h) = (x + y) + h, so the column of c is the
+    column of h read at the entries of the column of y. ``from_elements``
+    builds the table that way, and Light's test checks associativity over G.
     """
-    m = len(rows)
     seen = [False] * m
     gens: list[int] = []
+    gen_cols: list[list[int]] = []
+    steps: list[tuple[int, int, list[int]]] = []
     reached: list[int] = []
     for g in range(m):
         if seen[g]:
             continue
+        col = column(g)
         seen[g] = True
         gens.append(g)
+        gen_cols.append(col)
         # the new members: g, x + g for x reached before, then their right
         # multiples by every generator, breadth first
         new = [g]
         for x in reached:
-            c = rows[x][g]
+            c = col[x]
             if not seen[c]:
                 seen[c] = True
+                steps.append((c, x, col))
                 new.append(c)
         for y in new:
-            for c in map(rows[y].__getitem__, gens):
+            for ch in gen_cols:
+                c = ch[y]
                 if not seen[c]:
                     seen[c] = True
+                    steps.append((c, y, ch))
                     new.append(c)
         reached += new
-    return gens
+    return gens, gen_cols, steps
 
 
-def _associativity_failure(table: np.ndarray, rows: list[list[int]]) -> tuple[int, int, int] | None:
+def _associativity_failure(table: np.ndarray) -> tuple[int, int, int] | None:
     """Return a violating triple (x, g, y), or None if the table is associative.
 
     Light's test (Clifford & Preston, Algebraic Theory of Semigroups I, 1.2):
     in any magma the elements g with (x + g) + y = x + (g + y) for all x and
     y form a closed set, so it is enough to check g over a generating set G,
-    here ``_generating_set``. The check costs m * m * |G| lookups.
+    here the G of ``_right_cayley_walk``. The check costs m * m * |G| lookups.
     """
     by_col = np.ascontiguousarray(table.T)  # by_col[b][a] = a + b
+    gens, _, _ = _right_cayley_walk(len(table), lambda g: by_col[g].tolist())
     # Both products go into reused buffers: with a fresh pair of m x m
     # temporaries for each g, the n = 4 check ran about twice as slow
     # whenever the allocator returned them to the OS between iterations.
     # "clip" lets numpy write into ``out`` without a buffer; every index is
     # in range.
     left_t, right = np.empty_like(by_col), np.empty_like(by_col)
-    for g in _generating_set(rows):
+    for g in gens:
         # left_t[x, y] = (x + g) + y against right[y, x] = x + (g + y)
         np.take(table, by_col[g], axis=0, out=left_t, mode="clip")
         np.take(by_col, table[g], axis=0, out=right, mode="clip")
@@ -227,8 +189,7 @@ class FiniteSemigroup:
         if int(arr.min()) < 0 or int(arr.max()) >= m:
             raise TableValidationError("table entries must be element indices in [0, m)")
         arr = arr.astype(np.int32, copy=False)
-        rows = arr.tolist()
-        bad = _associativity_failure(arr, rows)
+        bad = _associativity_failure(arr)
         if bad is not None:
             a, b, c = bad
             raise TableValidationError(
@@ -237,7 +198,7 @@ class FiniteSemigroup:
         arr.setflags(write=False)
         self.labels = labels
         self.table = arr
-        self.rows = rows
+        self.rows = arr.tolist()
         self.n = n
 
     @property
@@ -274,6 +235,23 @@ class FiniteSemigroup:
             out.append(bits)
         return out
 
+    @functools.cached_property
+    def indecomposable_bits(self) -> int:
+        """Bitmask of the elements with no expression b + c where both b and
+        c differ from it, read off the whole table in one numpy pass on
+        first use.
+
+        In a one-element semigroup the single element is indecomposable
+        (there are no candidate witnesses), a documented edge case of the
+        definition.
+        """
+        table = self.table
+        i = np.arange(self.m)
+        decomposable = np.zeros(self.m, dtype=bool)
+        # c = a + b with c != a and c != b
+        decomposable[table[(table != i[:, None]) & (table != i[None, :])]] = True
+        return int.from_bytes(np.packbits(~decomposable, bitorder="little").tobytes(), "little")
+
     @classmethod
     def from_elements(
         cls,
@@ -284,16 +262,10 @@ class FiniteSemigroup:
     ) -> "FiniteSemigroup":
         """Build the Cayley table of ``elements`` under the associative ``add_fn``.
 
-        Only the columns x + g for g in a generating set G call ``add_fn``;
-        every other column is derived from them (the right Cayley graph of
-        Froidure & Pin, *Algorithms for computing finite semigroups*, 1997).
-        Since x + (y + g) = (x + y) + g, the column of y + g is the column
-        of g read at the entries of the column of y. The elements are walked
-        in index order: one not yet reached becomes a generator, its column
-        costs m calls, and the reached set is closed again by adding each
-        generator on the right. This is the greedy G of Light's test
-        (|G| = 12, 33 and 120 for A+(B_n) at n = 2, 3, 4), so ``add_fn`` is
-        called m * |G| times instead of m * m.
+        Only the columns x + g for g in the generating set G of
+        ``_right_cayley_walk`` call ``add_fn``, m calls each; every other
+        column is composed from them along the walk's steps. ``add_fn`` is
+        therefore called m * |G| times instead of m * m.
 
         ``add_fn`` must be associative, and a non-associative one is not
         detected: the table is derived from the x + g columns, so it may
@@ -311,35 +283,21 @@ class FiniteSemigroup:
                 raise InvalidParameterError(f"duplicate element {lab[i]!r}")
             index[e] = i
         m = len(elements)
-        cols: list[list[int] | None] = [None] * m  # cols[b][a] = a + b
-        gen_cols: list[list[int]] = []
-        reached: list[int] = []
-        for g in range(m):
-            if cols[g] is not None:
-                continue
+
+        def column(g: int) -> list[int]:
             col = list(map(index.get, map(add_fn, elements, itertools.repeat(elements[g], m))))
             if None in col:
                 raise ClosureViolationError(lab[col.index(None)], lab[g])
+            return col
+
+        gens, gen_cols, steps = _right_cayley_walk(m, column)
+        cols: list[list[int] | None] = [None] * m  # cols[b][a] = a + b
+        for g, col in zip(gens, gen_cols):
             cols[g] = col
-            gen_cols.append(col)
-            # the new members: g, x + g for x reached before, then their
-            # right multiples by every generator, breadth first
-            new = [g]
-            for x in reached:
-                c = col[x]
-                if cols[c] is None:
-                    cols[c] = list(map(col.__getitem__, cols[x]))
-                    new.append(c)
-            for y in new:
-                cy = cols[y]
-                for ch in gen_cols:
-                    c = ch[y]
-                    if cols[c] is None:
-                        cols[c] = list(map(ch.__getitem__, cy))
-                        new.append(c)
-            reached += new
+        for c, y, ch in steps:
+            cols[c] = list(map(ch.__getitem__, cols[y]))
         table = np.array(cols, dtype=np.int32).T.copy()
-        del cols, gen_cols  # free the boxed columns before __init__ boxes the rows
+        del cols, gen_cols, steps  # free the boxed columns before __init__ boxes the rows
         return cls(lab, table, n=n)
 
     def label_list(self, indices: Iterable[int]) -> list[str]:
@@ -444,21 +402,26 @@ def closure_bits(sums: Sums, seed_bits: int) -> int:
 
 
 def _coerce_bits(sg: FiniteSemigroup, subset) -> int:
-    if isinstance(subset, IndexSet):
-        if subset.m != sg.m:
-            raise InvalidParameterError("IndexSet universe does not match semigroup")
-        return subset.bits
+    """Bitmask of an iterable of element indices; each must be an integer
+    (not a bool) in [0, m)."""
     bits = 0
     for i in subset:
-        if not 0 <= int(i) < sg.m:
-            raise InvalidParameterError(f"index {i} out of range [0, {sg.m})")
-        bits |= 1 << int(i)
+        try:
+            if isinstance(i, (bool, np.bool_)):
+                raise TypeError
+            k = operator.index(i)
+        except TypeError:
+            raise InvalidParameterError(f"index {i!r} is not an integer") from None
+        if not 0 <= k < sg.m:
+            raise InvalidParameterError(f"index {k} out of range [0, {sg.m})")
+        bits |= 1 << k
     return bits
 
 
-def closure(sg: FiniteSemigroup, subset) -> IndexSet:
-    """Least superset of ``subset`` closed under the table; empty stays empty."""
-    return IndexSet.from_bits(sg.m, closure_bits(sg.sums, _coerce_bits(sg, subset)))
+def closure(sg: FiniteSemigroup, subset) -> tuple[int, ...]:
+    """Least superset of ``subset`` closed under the table, ascending; empty
+    stays empty."""
+    return tuple(iter_bits(closure_bits(sg.sums, _coerce_bits(sg, subset))))
 
 
 def is_generating(sg: FiniteSemigroup, subset) -> bool:
@@ -523,18 +486,10 @@ def is_band(sg: FiniteSemigroup) -> bool:
     return all(rows[a][a] == a for a in range(sg.m))
 
 
-def indecomposables(sg: FiniteSemigroup) -> IndexSet:
-    """Elements with no expression b + c where both b and c differ from it.
-
-    In a one-element semigroup the single element is returned (there are no
-    candidate witnesses), a documented edge case of the definition.
-    """
-    table = sg.table
-    i = np.arange(sg.m)
-    decomposable = np.zeros(sg.m, dtype=bool)
-    # c = a + b with c != a and c != b, read off the whole table at once
-    decomposable[table[(table != i[:, None]) & (table != i[None, :])]] = True
-    return IndexSet(sg.m, np.flatnonzero(~decomposable).tolist())
+def indecomposables(sg: FiniteSemigroup) -> tuple[int, ...]:
+    """Elements with no expression b + c where both b and c differ from it,
+    ascending; see ``FiniteSemigroup.indecomposable_bits``."""
+    return tuple(iter_bits(sg.indecomposable_bits))
 
 
 def is_prime_subset(sg: FiniteSemigroup, subset) -> bool:

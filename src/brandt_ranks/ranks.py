@@ -20,13 +20,12 @@ from .affine import (
     Const,
     NSupport,
     Singleton,
-    a_plus_size,
     all_permutations,
     enumerate_a_plus,
     perm_inverse,
 )
 from .brandt import check_n
-from .engine import FiniteSemigroup, IndexSet, closure_bits, extend_closure, iter_bits
+from .engine import FiniteSemigroup, closure_bits, extend_closure, iter_bits
 from .errors import InvalidParameterError, WitnessVerificationError
 
 PROV_FORMULA = "formula"
@@ -238,8 +237,8 @@ def _witness_elements(n: int, kind: str):
     raise InvalidParameterError(f"unknown witness kind {kind!r}")
 
 
-def construct_witness(n: int, kind: str) -> IndexSet:
-    """Index set of a named witness inside the canonical enumeration.
+def construct_witness(n: int, kind: str) -> tuple[int, ...]:
+    """The indices of a named witness in the canonical enumeration, ascending.
 
     Kinds: S (cycle constants), T (automorphism + S sums), SprimeUnionT,
     I (all n-support maps plus diagonal constants), P2 (the 14-element
@@ -250,9 +249,7 @@ def construct_witness(n: int, kind: str) -> IndexSet:
         raise InvalidParameterError("witness constructions need n >= 2")
     elems = _witness_elements(n, kind)
     index = {e: i for i, e in enumerate(enumerate_a_plus(n))}
-    out = IndexSet(a_plus_size(n))
-    for e in elems:
-        out.add(index[e])
+    out = tuple(sorted({index[e] for e in elems}))
     expected = {
         "S": n,
         "T": n * factorial(n),
@@ -266,9 +263,9 @@ def construct_witness(n: int, kind: str) -> IndexSet:
     return out
 
 
-def generating_witness(n: int) -> IndexSet:
-    """S ∪ T: a generating set of size n(n! + 1), the closed-form r2."""
-    return construct_witness(n, "S") | construct_witness(n, "T")
+def generating_witness(n: int) -> tuple[int, ...]:
+    """S ∪ T, ascending: a generating set of size n(n! + 1), the closed-form r2."""
+    return tuple(sorted(construct_witness(n, "S") + construct_witness(n, "T")))
 
 
 # --- r1: small rank -----------------------------------------------------------
@@ -375,8 +372,8 @@ def lower_rank_exact(
     prefixes than there are nodes left is not started, and a level the
     budget cuts short proves nothing about its own size; either way the
     result is (proven lower, best upper) bounds, unless the lower bound
-    already meets the witness. The indecomposables are found once, before
-    the first level is counted.
+    already meets the witness. The indecomposables are read from
+    ``sg.indecomposable_bits``, found once per table.
     """
     clock = _Clock(budget)
     sums = sg.sums
@@ -394,7 +391,7 @@ def lower_rank_exact(
     top = len(wit) - 1 if wit else m
 
     chosen: list[int] = []
-    ind: int | None = None
+    ind = sg.indecomposable_bits
 
     @functools.cache
     def visits(start: int, left: int) -> int:
@@ -431,8 +428,6 @@ def lower_rank_exact(
         return True
 
     for k in range(min(lb, top), top + 1):
-        if ind is None:
-            ind = engine.indecomposables(sg).bits
         if visits(0, k) > clock.nodes_left:
             detail = f"sweep of {k}-subsets exceeds node budget"
             break
@@ -478,12 +473,11 @@ def intermediate_rank_verify(sg: FiniteSemigroup, budget: SearchBudget | None = 
             "intermediate rank verification needs a semigroup built by a_plus_semigroup, n >= 2"
         )
     clock = _Clock(budget)
-    w = construct_witness(n, "SprimeUnionT")
-    if not engine.is_generating(sg, w):
+    wit = construct_witness(n, "SprimeUnionT")  # size checked there: n * n! + 2n - 2
+    if not engine.is_generating(sg, wit):
         raise WitnessVerificationError("independent generating witness does not generate")
-    if not engine.is_independent(sg, w):
+    if not engine.is_independent(sg, wit):
         raise WitnessVerificationError("independent generating witness is not independent")
-    wit = tuple(iter_bits(w.bits))  # construct_witness checked its size, n * n! + 2n - 2
     prov = PROV_WITNESS
     detail = "witness verified independent and generating"
     if n == 2:
@@ -583,9 +577,9 @@ def upper_rank_search(
     best_size = 0
     best: tuple[int, ...] = ()
     if seed is not None:
-        if not engine.is_independent(sg, seed):
-            raise WitnessVerificationError("seed witness is not independent")
         best = tuple(iter_bits(engine._coerce_bits(sg, seed)))
+        if not engine.is_independent(sg, best):
+            raise WitnessVerificationError("seed witness is not independent")
         best_size = len(best)
     verified = best_size
 
@@ -683,8 +677,8 @@ def smallest_prime_subset(
     """
     m = sg.m
     ind = engine.indecomposables(sg)
-    if len(ind) > 0:
-        return (next(iter(ind)),), 0
+    if ind:
+        return ind[:1], 0
     if size_cap < 2:
         return None, size_cap
     row_fibers = sg.sums.row_fibers

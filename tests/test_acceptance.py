@@ -21,10 +21,11 @@ from brandt_ranks.affine import (
     map_table,
     support_size,
 )
-from brandt_ranks.engine import FiniteSemigroup, IndexSet, closure_bits, export_table, import_table
+from brandt_ranks.engine import FiniteSemigroup, closure_bits, export_table, import_table
 from brandt_ranks.ranks import (
     SearchBudget,
     construct_witness,
+    generating_witness,
     intermediate_rank_verify,
     large_rank_exact,
     lower_rank_exact,
@@ -110,12 +111,12 @@ def test_criterion_4_small_rank(ab1, ab2, ab3):
 
 def test_criterion_5_lower_rank(ab2, ab3):
     with _Timer() as t:
-        wit2 = construct_witness(2, "S") | construct_witness(2, "T")
+        wit2 = generating_witness(2)
         assert engine.is_generating(ab2, wit2)
         rv2 = lower_rank_exact(ab2, BIG, witness=wit2)
         assert rv2.value == 6 and rv2.provenance == "exact-search"
         assert rv2.detail == "no generating subset of size 5 (exhaustive)"
-        wit3 = construct_witness(3, "S") | construct_witness(3, "T")
+        wit3 = generating_witness(3)
         rv3 = lower_rank_exact(ab3, BIG, witness=wit3)
         assert rv3.value == 21 and rv3.provenance == "witness"
     _report(5, t.elapsed < 300.0,
@@ -151,7 +152,7 @@ def test_criterion_7_upper_rank(ab2, ab3):
         best = 0
         for bits in range(1, 1 << cb3.m):
             if bits.bit_count() > best and engine.is_independent(
-                cb3, IndexSet.from_bits(cb3.m, bits)
+                cb3, engine.iter_bits(bits)
             ):
                 best = bits.bit_count()
         assert best == 5
@@ -222,7 +223,7 @@ def test_criterion_9_property_suites(ab2, ab3):
                     assert s <= sizes[i] and s <= sizes[j]
         # witness soundness re-verification
         assert engine.is_independent(ab2, construct_witness(2, "P2"))
-        assert engine.is_generating(ab2, construct_witness(2, "S") | construct_witness(2, "T"))
+        assert engine.is_generating(ab2, generating_witness(2))
         assert engine.is_prime_subset(ab3, construct_witness(3, "V"))
         # table round-trip byte-exactness
         for sg in (ab2, ab3):

@@ -20,7 +20,6 @@ from brandt_ranks.affine import (
 from brandt_ranks.brandt import bn_add, bn_elements, brandt_semigroup
 from brandt_ranks.engine import (
     FiniteSemigroup,
-    IndexSet,
     closure,
     closure_bits,
     export_table,
@@ -39,40 +38,9 @@ from brandt_ranks.errors import (
     TableParseError,
     TableValidationError,
 )
-from brandt_ranks.ranks import construct_witness
+from brandt_ranks.ranks import construct_witness, generating_witness
 
 ONE = FiniteSemigroup(["e"], [[0]])
-
-
-# --- IndexSet -----------------------------------------------------------------
-
-
-def test_indexset_basics():
-    s = IndexSet(10, [3, 1, 7])
-    assert list(s) == [1, 3, 7]
-    assert len(s) == 3
-    assert 3 in s and 4 not in s
-    s.add(4)
-    assert 4 in s
-    with pytest.raises(InvalidParameterError):
-        s.add(10)
-
-
-def test_indexset_union():
-    a = IndexSet(6, [0, 2])
-    b = IndexSet(6, [2, 5])
-    assert list(a | b) == [0, 2, 5]
-    with pytest.raises(InvalidParameterError):
-        a.union(IndexSet(7, [1]))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sets(st.integers(0, 28)), st.sets(st.integers(0, 28)))
-def test_indexset_matches_set_semantics(xs, ys):
-    a, b = IndexSet(29, xs), IndexSet(29, ys)
-    assert set(a | b) == xs | ys
-    assert len(a) == len(xs)
-    assert all(x in a for x in xs)
 
 
 # --- construction --------------------------------------------------------------
@@ -138,8 +106,10 @@ def test_from_elements_calls_add_fn_only_for_generator_columns(n, calls):
     assert len(right) == calls == sg.m * len(gens)  # |G| = 3, 12, 33, 120
     assert sg == a_plus_semigroup(n)
     # G is the greedy generating set, each element that the earlier ones do
-    # not generate; Light's test walks the rows to the same G
-    assert gens == _closure_greedy_generators(sg) == engine._generating_set(sg.rows)
+    # not generate; the walk over the finished table's columns (Light's
+    # test) finds the same G
+    walked, _, _ = engine._right_cayley_walk(sg.m, lambda g: sg.table[:, g].tolist())
+    assert gens == _closure_greedy_generators(sg) == walked
 
 
 def test_from_elements_names_both_labels_of_a_sum_outside_the_list():
@@ -263,8 +233,7 @@ def small_tables(draw, kinds=("random",) + SEMIGROUP_KINDS):
 @given(small_tables())
 def test_light_test_matches_exhaustive_check(table):
     expected = _violations(table)
-    rows = [list(r) for r in table]
-    found = engine._associativity_failure(np.asarray(table, dtype=np.int32), rows)
+    found = engine._associativity_failure(np.asarray(table, dtype=np.int32))
     if expected:
         assert found in expected
         with pytest.raises(TableValidationError):
@@ -283,13 +252,53 @@ def test_closure_of_single_constant(ab2):
 
 
 def test_closure_of_s_union_t_is_everything(ab2):
-    w = construct_witness(2, "S") | construct_witness(2, "T")
+    w = generating_witness(2)
     assert len(closure(ab2, w)) == 29
     assert is_generating(ab2, w)
 
 
 def test_closure_of_empty_is_empty(ab2):
     assert len(closure(ab2, [])) == 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_subsets_go_out_as_ascending_tuples(n, request):
+    sg = request.getfixturevalue(f"ab{n}")
+    outs = [
+        closure(sg, [17, 5, 9]),
+        indecomposables(sg),
+        generating_witness(n),
+        *(construct_witness(n, kind) for kind in ("S", "T", "SprimeUnionT", "I", "V")),
+    ]
+    for out in outs:
+        assert type(out) is tuple
+        assert list(out) == sorted(set(out))
+    assert generating_witness(n) == tuple(sorted(construct_witness(n, "S") + construct_witness(n, "T")))
+
+
+@pytest.mark.parametrize(
+    "subset, message",
+    [
+        ([2.9], "not an integer"),
+        (["3"], "not an integer"),
+        ([True], "not an integer"),
+        ([np.bool_(True)], "not an integer"),
+        ([0, None], "not an integer"),
+        ([29], "out of range"),
+        ([-1], "out of range"),
+    ],
+    ids=["float", "str", "bool", "numpy-bool", "none", "m", "negative"],
+)
+@pytest.mark.parametrize("fn", [closure, is_generating, is_independent, is_prime_subset])
+def test_subset_indices_must_be_integers_in_range(ab2, fn, subset, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        fn(ab2, subset)
+
+
+def test_subset_indices_take_numpy_integers(ab2):
+    got = closure(ab2, np.array([ab2.index_of("xi(1,2)")], dtype=np.int64))
+    assert got == closure(ab2, [ab2.index_of("xi(1,2)")]) == (0, ab2.index_of("xi(1,2)"))
+    assert is_prime_subset(ab2, [np.int32(ab2.index_of("xi(1,2)"))])
 
 
 def test_s_alone_generates_only_constants(ab2):
@@ -305,17 +314,15 @@ def test_full_set_generates(b2):
 @settings(max_examples=100, deadline=None)
 @given(st.sets(st.integers(0, 28)), st.sets(st.integers(0, 28)))
 def test_closure_monotone(ab2, xs, ys):
-    u = IndexSet(29, xs)
-    w = IndexSet(29, xs | ys)
-    cu = closure(ab2, u)
-    cw = closure(ab2, w)
-    assert cu.bits & cw.bits == cu.bits
+    cu = closure(ab2, xs)
+    cw = closure(ab2, xs | ys)
+    assert set(cu) <= set(cw)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sets(st.integers(0, 28), min_size=1))
 def test_closure_is_idempotent_and_contains_seed(ab2, xs):
-    c = closure(ab2, IndexSet(29, xs))
+    c = closure(ab2, xs)
     assert xs <= set(c)
     assert closure(ab2, c) == c
 
@@ -480,7 +487,7 @@ def test_independent_rejects_empty(ab2):
     with pytest.raises(InvalidParameterError):
         is_independent(ab2, [])
     with pytest.raises(InvalidParameterError):
-        is_independent(ab2, IndexSet(ab2.m))
+        is_independent(ab2, closure(ab2, []))
 
 
 def _independent_oracle(sg, subset):
@@ -607,12 +614,10 @@ def test_hereditary_independence_exhaustive_to_size_4(ab2):
 @settings(max_examples=60, deadline=None)
 @given(st.sets(st.integers(0, 28), min_size=5, max_size=9), st.randoms())
 def test_hereditary_independence_randomized(ab2, xs, rng):
-    u = IndexSet(29, xs)
-    if not is_independent(ab2, u):
+    if not is_independent(ab2, xs):
         return
     drop = rng.choice(sorted(xs))
-    v = IndexSet(29, xs - {drop})
-    assert is_independent(ab2, v)
+    assert is_independent(ab2, xs - {drop})
 
 
 # --- principal ideals ----------------------------------------------------------
@@ -719,6 +724,15 @@ def _indecomposables_oracle(sg):
     return [c for c in range(sg.m) if c not in decomposable]
 
 
+def test_indecomposables_are_found_once_per_table(ab2, monkeypatch):
+    sg = FiniteSemigroup(ab2.labels, ab2.table, n=2)
+    assert "indecomposable_bits" not in sg.__dict__
+    first = indecomposables(sg)
+    assert sg.indecomposable_bits == sum(1 << i for i in first)
+    monkeypatch.setattr(engine, "np", None)  # a second numpy pass would fail
+    assert indecomposables(sg) == first == (2, 3)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_indecomposables_match_the_pair_oracle(ab2, data):
@@ -741,7 +755,7 @@ def test_prime_subsets(ab2, ab3):
 def test_prime_subset_complement_is_subsemigroup(ab3):
     v = construct_witness(3, "V")
     comp = [i for i in range(ab3.m) if i not in v]
-    assert closure(ab3, comp) == IndexSet(ab3.m, comp)
+    assert closure(ab3, comp) == tuple(comp)
 
 
 def _is_prime_subset_oracle(sg, bits):
@@ -775,7 +789,7 @@ def test_prime_subset_matches_the_pair_oracle(ab2, data):
     # random subsets are rarely prime; complements of subsemigroups always are
     bits = data.draw(st.sampled_from([full, seed, full & ~closure_bits(sg.sums, seed)]))
     assume(bits)
-    assert is_prime_subset(sg, IndexSet.from_bits(sg.m, bits)) == _is_prime_subset_oracle(sg, bits)
+    assert is_prime_subset(sg, engine.iter_bits(bits)) == _is_prime_subset_oracle(sg, bits)
 
 
 # --- IO -----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from test_engine import semigroup_or_none, small_tables
 
 from brandt_ranks import engine, ranks
 from brandt_ranks.affine import Const, ConstZero, add_maps, enumerate_a_plus, map_label
-from brandt_ranks.engine import FiniteSemigroup, IndexSet, closure_bits
+from brandt_ranks.engine import FiniteSemigroup, closure_bits
 from brandt_ranks.errors import (
     InvalidParameterError,
     WitnessVerificationError,
@@ -251,7 +251,7 @@ def test_lower_rank_a_plus_b1(ab1):
 
 
 def test_lower_rank_a_plus_b2_exhaustive(ab2):
-    wit = construct_witness(2, "S") | construct_witness(2, "T")
+    wit = generating_witness(2)
     rv = lower_rank_exact(ab2, BIG, witness=wit)
     assert rv.value == 6
     assert rv.provenance == PROV_SEARCH  # the 5-subset sweep completed
@@ -260,7 +260,7 @@ def test_lower_rank_a_plus_b2_exhaustive(ab2):
 
 
 def test_lower_rank_a_plus_b3_witness_bound_match(ab3):
-    wit = construct_witness(3, "S") | construct_witness(3, "T")
+    wit = generating_witness(3)
     rv = lower_rank_exact(ab3, BIG, witness=wit)
     assert rv.value == 21
     assert rv.provenance == PROV_WITNESS
@@ -269,7 +269,7 @@ def test_lower_rank_a_plus_b3_witness_bound_match(ab3):
 def test_lower_rank_bound_match_skips_sweep(ab2):
     # with only 10 nodes the sweep cannot run, but the first-factor bound
     # already matches the witness size, so the value is still exact
-    wit = construct_witness(2, "S") | construct_witness(2, "T")
+    wit = generating_witness(2)
     rv = lower_rank_exact(ab2, SearchBudget(seconds=600, node_limit=10), witness=wit)
     assert rv.exact and rv.value == 6
     assert rv.provenance == PROV_WITNESS
@@ -277,8 +277,7 @@ def test_lower_rank_bound_match_skips_sweep(ab2):
 
 def test_lower_rank_budget_exhaustion(ab2):
     # a non-minimal generating witness (size 7) with no budget to sweep
-    wit = construct_witness(2, "S") | construct_witness(2, "T")
-    wit.add(5)
+    wit = generating_witness(2) + (5,)
     rv = lower_rank_exact(ab2, SearchBudget(seconds=600, node_limit=10), witness=wit)
     assert not rv.exact
     assert rv.bounds == (6, 7)
@@ -296,7 +295,7 @@ def test_lower_rank_budget_exhaustion(ab2):
     ids=["sweep-fits", "one-node-short"],
 )
 def test_lower_rank_sweeps_only_within_the_node_budget(ab2, node_limit, provenance, detail):
-    wit = construct_witness(2, "S") | construct_witness(2, "T")
+    wit = generating_witness(2)
     rv = lower_rank_exact(ab2, SearchBudget(seconds=600, node_limit=node_limit), witness=wit)
     assert rv.value == 6
     assert (rv.provenance, rv.detail) == (provenance, detail)
@@ -320,8 +319,7 @@ def test_lower_rank_finds_the_first_minimum_below_any_witness(ab2, witness):
 
 def test_lower_rank_deadline_mid_sweep_keeps_the_witness(ab2):
     # a 1 us budget is gone before the first sweep node
-    wit = construct_witness(2, "S") | construct_witness(2, "T")
-    wit.add(5)
+    wit = generating_witness(2) + (5,)
     rv = lower_rank_exact(ab2, SearchBudget(seconds=1e-6), witness=wit)
     assert rv.bounds == (6, 7)
     assert rv.detail == "budget exhausted mid-sweep"
@@ -335,7 +333,7 @@ def test_lower_rank_rejects_non_generating_witness(ab2):
 
 def test_generating_subset_sweep_none_at_5(ab2):
     # the exhaustive sweep of all 5-subsets that settles r2 = 6
-    wit = construct_witness(2, "S") | construct_witness(2, "T")
+    wit = generating_witness(2)
     rv = lower_rank_exact(ab2, BIG, witness=wit)
     assert rv.value == 6
     assert rv.detail == "no generating subset of size 5 (exhaustive)"
@@ -409,7 +407,7 @@ def test_lower_rank_sweep_size_with_the_s_t_witness_n2(ab2, monkeypatch):
     # indecomposables 2 and 3 are walked past them: 3,283 of 146,595
     # nodes, each one closure extension
     counts = _count_search_work(monkeypatch)
-    wit = construct_witness(2, "S") | construct_witness(2, "T")
+    wit = generating_witness(2)
     rv = lower_rank_exact(ab2, BIG, witness=wit)
     assert counts == {"extensions": 3_283, "nodes": 3_283}
     assert (rv.value, rv.provenance) == (6, PROV_SEARCH)
@@ -478,7 +476,7 @@ def test_independent_generating_witnesses_respect_size_cap(n, ab2, ab3):
     cap = n * factorial(n) + 2 * n - 2
     rv = intermediate_rank_verify(sg, BIG)
     assert len(rv.witness) == rv.value <= cap
-    sut = construct_witness(n, "S") | construct_witness(n, "T")
+    sut = generating_witness(n)
     if engine.is_independent(sg, sut) and engine.is_generating(sg, sut):
         assert len(sut) <= cap
 
@@ -501,7 +499,7 @@ def test_upper_rank_constants_b3_matches_scan_oracle():
     best = 0
     for bits in range(1, 1 << cb3.m):
         if bits.bit_count() > best and engine.is_independent(
-            cb3, IndexSet.from_bits(cb3.m, bits)
+            cb3, engine.iter_bits(bits)
         ):
             best = bits.bit_count()
     assert best == 5  # floor(9/4) + 3
@@ -562,6 +560,14 @@ def test_upper_rank_search_with_many_chosen_members_n4(ab4):
     assert not rv.exact
     assert len(rv.witness) == rv.lower == 388
     assert engine.is_independent(ab4, rv.witness)
+
+
+def test_upper_rank_reads_a_one_shot_seed_once(ab2):
+    # a seed given as an iterator still primes the incumbent
+    budget = SearchBudget(seconds=600, node_limit=5)
+    seed = construct_witness(2, "P2")
+    rv = upper_rank_search(ab2, budget, seed=iter(seed))
+    assert rv.bounds == (14, 29) and rv.witness == seed
 
 
 def test_upper_rank_rejects_bad_seed(ab2):
@@ -801,7 +807,7 @@ def test_searches_match_brute_force_on_random_subsemigroups(ab2):
         best = 0
         for bits in range(1, 1 << sub.m):
             if bits.bit_count() > best and engine.is_independent(
-                sub, IndexSet.from_bits(sub.m, bits)
+                sub, engine.iter_bits(bits)
             ):
                 best = bits.bit_count()
         assert upper_rank_search(sub, BIG).value == best
