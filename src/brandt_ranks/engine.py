@@ -119,26 +119,58 @@ def _bitmasks(packed: np.ndarray) -> list[int]:
     return [int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width)]
 
 
+# Table entries per block of lines in ``_line_fibers`` and
+# ``indecomposable_bits``. A block's numpy temporaries take a few bytes per
+# entry, so they stay near 1 MB whatever m is; whole-table arrays peaked at
+# 14 MB under tracemalloc at n = 4 (m = 657) and, from their shapes, would
+# take about 0.4 GB per side at n = 5 (m = 3,651). Measured at n = 4 on a
+# 2-vCPU VM, blocks of 2^14 to 2^17 entries build both sides of ``sums`` in
+# about the same 47 ms, against 67 ms for one whole-table block and 108 ms
+# for one line per block (about 45 µs of numpy calls per block); 2^16 keeps
+# 17 lines per block at n = 5.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _block_lines(m: int) -> int:
+    """Lines of length m per block: at most ``_BLOCK_ENTRIES`` entries, one
+    line at least, and no more than the m lines there are."""
+    return min(m, max(1, _BLOCK_ENTRIES // m))
+
+
 def _line_fibers(lines: np.ndarray) -> tuple[list[int], list[dict[int, int]]]:
     """Value mask and fibers of each line a of ``lines``: bit c of
     ``values[a]`` iff some lines[a, b] = c, and ``fibers[a][c]`` the bitmask
-    of those b, one key per value."""
+    of those b, one key per value.
+
+    The m x m lines are taken ``_block_lines(m)`` at a time, so no
+    temporary grows with m²; every block gets the same pass.
+    """
     m = len(lines)
     width = (m + 7) // 8
-    flat = (lines + np.arange(0, m * m, m, dtype=np.int32)[:, None]).ravel()  # a * m + lines[a, b]
-    present = np.zeros(m * m, dtype=bool)
-    present[flat] = True  # present[a * m + c]: c is a value of line a
-    # the fiber of each (a, b), numbered line by line, values ascending
-    seen = np.cumsum(present, dtype=np.int32)
-    ids = seen[flat] - 1
-    b = np.tile(np.arange(m, dtype=np.int32), m)
-    packed = np.zeros(int(seen[-1]) * width, dtype=np.uint8)
-    # each bit is set once, so adding is or-ing
-    np.add.at(packed, ids * width + (b >> 3), (1 << (b & 7)).astype(np.uint8))
-    present = present.reshape(m, m)
-    masks = iter(zip(np.nonzero(present)[1].tolist(), _bitmasks(packed.reshape(-1, width))))
-    fibers = [dict(itertools.islice(masks, k)) for k in present.sum(axis=1).tolist()]
-    return _bitmasks(np.packbits(present, axis=1, bitorder="little")), fibers
+    k = _block_lines(m)
+    # index arrays for a full block, sliced for the last one
+    starts = np.arange(0, k * m, m, dtype=np.int32)[:, None]
+    b = np.tile(np.arange(m, dtype=np.int32), k)
+    byte, bit = b >> 3, (1 << (b & 7)).astype(np.uint8)
+    values: list[int] = []
+    fibers: list[dict[int, int]] = []
+    for lo in range(0, m, k):
+        block = lines[lo : lo + k]
+        size = block.size
+        flat = (block + starts[: len(block)]).ravel()  # a * m + lines[lo + a, b]
+        present = np.zeros(size, dtype=bool)
+        present[flat] = True  # present[a * m + c]: c is a value of line lo + a
+        # the fiber of each (a, b), numbered line by line, values ascending
+        seen = np.cumsum(present, dtype=np.int32)
+        ids = seen[flat] - 1
+        packed = np.zeros(int(seen[-1]) * width, dtype=np.uint8)
+        # each bit is set once, so adding is or-ing
+        np.add.at(packed, ids * width + byte[:size], bit[:size])
+        present = present.reshape(-1, m)
+        masks = iter(zip(np.nonzero(present)[1].tolist(), _bitmasks(packed.reshape(-1, width))))
+        fibers += [dict(itertools.islice(masks, c)) for c in present.sum(axis=1).tolist()]
+        values += _bitmasks(np.packbits(present, axis=1, bitorder="little"))
+    return values, fibers
 
 
 class Sums(NamedTuple):
@@ -209,8 +241,10 @@ class FiniteSemigroup:
     def sums(self) -> Sums:
         """The table's sums grouped by value (``Sums``), for the closure kernel.
 
-        Built with numpy on first use (about 45 ms at n = 4 on a 2-vCPU
-        VM), so tables that are only built and validated skip it.
+        Built with numpy on first use, a block of lines at a time (about
+        30-45 ms for both sides at n = 4 on a 2-vCPU VM, with a tracemalloc
+        peak of about 4.4 MB, of which 2.7 MB is kept), so tables that are
+        only built and validated skip it.
         """
         row_values, row_fibers = _line_fibers(self.table)
         col_values, col_fibers = _line_fibers(self.table.T)
@@ -238,18 +272,21 @@ class FiniteSemigroup:
     @functools.cached_property
     def indecomposable_bits(self) -> int:
         """Bitmask of the elements with no expression b + c where both b and
-        c differ from it, read off the whole table in one numpy pass on
-        first use.
+        c differ from it, read off the table with numpy on first use, a
+        block of ``_block_lines(m)`` rows at a time like ``_line_fibers``.
 
         In a one-element semigroup the single element is indecomposable
         (there are no candidate witnesses), a documented edge case of the
         definition.
         """
-        table = self.table
-        i = np.arange(self.m)
-        decomposable = np.zeros(self.m, dtype=bool)
-        # c = a + b with c != a and c != b
-        decomposable[table[(table != i[:, None]) & (table != i[None, :])]] = True
+        table, m = self.table, self.m
+        i = np.arange(m)
+        k = _block_lines(m)
+        decomposable = np.zeros(m, dtype=bool)
+        for a in range(0, m, k):
+            block = table[a : a + k]
+            # c = a + b with c != a and c != b
+            decomposable[block[(block != i[a : a + k, None]) & (block != i)]] = True
         return int.from_bytes(np.packbits(~decomposable, bitorder="little").tobytes(), "little")
 
     @classmethod

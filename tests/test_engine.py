@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,6 +364,61 @@ def test_sums_reproduce_the_brandt_table(n):
 def test_sums_reproduce_small_tables(sg):
     assume(sg is not None)
     _check_sums(sg)
+
+
+def _sums_content(sums):
+    """Every field of ``sums`` but ``rows``, with each fiber dict in insertion order."""
+    return (
+        sums.row_values,
+        sums.col_values,
+        [list(f.items()) for f in sums.row_fibers],
+        [list(f.items()) for f in sums.col_fibers],
+    )
+
+
+def _check_blocks(sg, lines):
+    """A fresh copy of ``sg`` built ``lines`` lines per block has the same
+    ``sums`` as one built in a single block, and the right indecomposables."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_BLOCK_ENTRIES", lines * sg.m)
+        blocked = FiniteSemigroup(sg.labels, sg.table, n=sg.n)
+        _check_sums(blocked)
+        assert list(indecomposables(blocked)) == _indecomposables_oracle(sg)
+        mp.setattr(engine, "_BLOCK_ENTRIES", sg.m * sg.m)
+        whole = FiniteSemigroup(sg.labels, sg.table, n=sg.n)
+        assert _sums_content(blocked.sums) == _sums_content(whole.sums)
+        assert blocked.indecomposable_bits == whole.indecomposable_bits
+
+
+@pytest.mark.parametrize("lines", [1, 2, 3])
+@pytest.mark.parametrize("name", ["ab2", "b3", "ab3"])
+def test_sums_and_indecomposables_across_block_seams(name, lines, request):
+    # m = 29, 10 and 145: 2 and 3 lines per block leave a partial last
+    # block, except 2 lines at m = 10
+    _check_blocks(request.getfixturevalue(name), lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tables(SEMIGROUP_KINDS).map(lambda t: semigroup_or_none(t)), st.integers(1, 3))
+def test_sums_and_indecomposables_of_small_tables_across_block_seams(sg, lines):
+    assume(sg is not None)
+    _check_blocks(sg, lines)
+
+
+def test_sums_build_peak_stays_far_below_the_table_size(ab4):
+    # the 657 lines span several blocks, the last one partial
+    k = engine._block_lines(ab4.m)
+    assert ab4.m == 657 and 1 < k < 657 and 657 % k != 0
+    # whole-table temporaries peaked at 14 MB here; blocks of lines keep the
+    # peak near the 2.7 MB that ``sums`` keeps
+    sg = FiniteSemigroup(ab4.labels, ab4.table, n=4)
+    tracemalloc.start()
+    try:
+        sg.sums
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
 
 
 def _extend_closure_oracle(rows, bits, elems, x):
@@ -728,6 +784,7 @@ def test_indecomposables_are_found_once_per_table(ab2, monkeypatch):
     sg = FiniteSemigroup(ab2.labels, ab2.table, n=2)
     assert "indecomposable_bits" not in sg.__dict__
     first = indecomposables(sg)
+    assert "sums" not in sg.__dict__  # read off the table alone
     assert sg.indecomposable_bits == sum(1 << i for i in first)
     monkeypatch.setattr(engine, "np", None)  # a second numpy pass would fail
     assert indecomposables(sg) == first == (2, 3)
