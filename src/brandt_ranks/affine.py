@@ -3,9 +3,10 @@
 Every element of the semigroup is one of four shapes: the zero-constant
 map, a nonzero constant map, a singleton-support map sending one pair to
 one pair, or an n-support map (p, q; sigma) sending (i, p) to (i sigma, q).
-Arguments are written on the left, so ``apply_map(n, f, x)`` is x f.
-Equality of elements is field-wise; the brute-force oracles at the end work
-on plain value tables instead.
+Arguments are written on the left: ``map_table(n, f)``, the one description
+of what f does, holds x f at the canonical B_n index of x. Equality of
+elements is field-wise; the brute-force oracles at the end work on plain
+value tables instead.
 """
 
 from __future__ import annotations
@@ -16,14 +17,7 @@ from functools import lru_cache
 from math import factorial
 from typing import TypeAlias
 
-from .brandt import (
-    BnElement,
-    bn_add,
-    bn_elements,
-    bn_index,
-    check_n,
-    validate_element,
-)
+from .brandt import BnElement, bn_add, bn_elements, bn_index, check_n
 from .engine import FiniteSemigroup
 from .errors import CapabilityError, InvalidParameterError
 
@@ -78,42 +72,6 @@ def perm_inverse(sigma: Permutation) -> Permutation:
     return tuple(inv)
 
 
-def validate_map(n: int, f: AffineMapElement) -> None:
-    check_n(n)
-    if isinstance(f, ConstZero):
-        return
-    if isinstance(f, Const):
-        if f.c is None:
-            raise InvalidParameterError("constant map onto zero must be ConstZero")
-        validate_element(n, f.c)
-        return
-    if isinstance(f, Singleton):
-        validate_element(n, (f.k, f.l))
-        validate_element(n, (f.p, f.q))
-        return
-    if isinstance(f, NSupport):
-        validate_element(n, (f.p, f.q))
-        if sorted(f.sigma) != list(range(n)):
-            raise InvalidParameterError(f"{f.sigma!r} is not a permutation of range({n})")
-        return
-    raise InvalidParameterError(f"not an affine map element: {f!r}")
-
-
-def apply_map(n: int, f: AffineMapElement, x: BnElement) -> BnElement:
-    """The value x f."""
-    validate_map(n, f)
-    validate_element(n, x)
-    if isinstance(f, ConstZero):
-        return None
-    if isinstance(f, Const):
-        return f.c
-    if isinstance(f, Singleton):
-        return (f.p, f.q) if x == (f.k, f.l) else None
-    if x is not None and x[1] == f.p:
-        return (f.sigma[x[0]], f.q)
-    return None
-
-
 def map_table(n: int, f: AffineMapElement) -> tuple[BnElement, ...]:
     """The full value table of ``f`` in canonical B_n order."""
     if isinstance(f, ConstZero):
@@ -127,28 +85,6 @@ def map_table(n: int, f: AffineMapElement) -> tuple[BnElement, ...]:
         for i in range(n):
             table[bn_index(n, (i, f.p))] = (f.sigma[i], f.q)
     return tuple(table)
-
-
-def support(n: int, f: AffineMapElement) -> set[BnElement]:
-    """Arguments mapped to something other than zero."""
-    if isinstance(f, ConstZero):
-        return set()
-    if isinstance(f, Const):
-        return set(bn_elements(n))
-    if isinstance(f, Singleton):
-        return {(f.k, f.l)}
-    return {(i, f.p) for i in range(n)}
-
-
-def support_size(n: int, f: AffineMapElement) -> int:
-    """|supp(f)|: 0, n*n+1, 1 or n by shape."""
-    if isinstance(f, ConstZero):
-        return 0
-    if isinstance(f, Const):
-        return n * n + 1
-    if isinstance(f, Singleton):
-        return 1
-    return n
 
 
 def add_maps(n: int, f: AffineMapElement, g: AffineMapElement) -> AffineMapElement:

@@ -20,6 +20,7 @@ from .affine import (
     Const,
     NSupport,
     Singleton,
+    a_plus_semigroup,
     all_permutations,
     enumerate_a_plus,
     perm_inverse,
@@ -455,8 +456,8 @@ def lower_rank_exact(
 # --- r3: intermediate rank -------------------------------------------------------
 
 
-def intermediate_rank_verify(sg: FiniteSemigroup, budget: SearchBudget | None = None) -> RankValue:
-    """Verify the maximal independent generating set construction in A+(B_n), n = sg.n.
+def intermediate_rank_verify(n: int, budget: SearchBudget | None = None) -> RankValue:
+    """Verify the maximal independent generating set construction in A+(B_n).
 
     Builds the witness (boundary constants plus automorphism translates),
     asserts it is independent and generating, and for n = 2 confirms
@@ -467,13 +468,9 @@ def intermediate_rank_verify(sg: FiniteSemigroup, budget: SearchBudget | None = 
     budget node per candidate. If the budget runs out first, the verified
     witness still proves the lower bound, and the result is (witness size, m).
     """
-    n = sg.n
-    if n is None or n < 2:
-        raise InvalidParameterError(
-            "intermediate rank verification needs a semigroup built by a_plus_semigroup, n >= 2"
-        )
+    wit = construct_witness(n, "SprimeUnionT")  # checks n >= 2 and the size n * n! + 2n - 2
+    sg = a_plus_semigroup(n)
     clock = _Clock(budget)
-    wit = construct_witness(n, "SprimeUnionT")  # size checked there: n * n! + 2n - 2
     if not engine.is_generating(sg, wit):
         raise WitnessVerificationError("independent generating witness does not generate")
     if not engine.is_independent(sg, wit):
@@ -717,16 +714,18 @@ def large_rank_exact(sg: FiniteSemigroup, budget: SearchBudget | None = None) ->
     The complement of a smallest proper prime subset is a largest proper
     subsemigroup, and forcing generation needs one more element than its
     size. An indecomposable element forms a singleton prime subset, so its
-    presence gives r5 = m immediately. The search stops at a size cap of n
-    for A+(B_n), else min(6, m - 1). If no prime subset exists up to the cap,
-    or the budget runs out first, a bounds-only result notes the largest
-    size the search has excluded.
+    presence gives r5 = m immediately. The search stops at a size cap of
+    min(6, m - 1) for every table; A+(B_n) has the prime subset V of n - 1
+    elements, which the cap admits for every n whose table can be built
+    (n <= 7). If no prime subset exists up to the cap, or the budget runs
+    out first, a bounds-only result notes the largest size the search has
+    excluded.
     """
     clock = _Clock(budget)
     m = sg.m
     if m == 1:
         return _rank(sg, clock, value=1, detail="one-element semigroup")
-    cap = sg.n if sg.n else min(6, m - 1)
+    cap = min(6, m - 1)
     prime, proven = smallest_prime_subset(sg, cap, clock)
     if prime is None:
         detail = f"no proper prime subset of size <= {proven}"
@@ -744,47 +743,38 @@ def large_rank_exact(sg: FiniteSemigroup, budget: SearchBudget | None = None) ->
 # --- the rank planner ---------------------------------------------------------------
 
 
-def closed_form_rank(n: int, key: str) -> RankValue | None:
-    """The rank ``plan_rank`` reads from ``rank_formulas`` without the table
-    (r4 for n >= 6, where m = 27,253 and up), else None."""
-    if key != "r4" or n == 1:
-        return None
-    formula = rank_formulas(n).ranks["r4"]
-    return formula if formula.exact else None
+def plan_rank(n: int, key: str, budget: SearchBudget | None = None) -> RankValue:
+    """Rank ``key`` (r1..r5) of A+(B_n); every choice of method is made here.
 
-
-def plan_rank(sg: FiniteSemigroup, key: str, budget: SearchBudget | None = None) -> RankValue:
-    """Rank ``key`` (r1..r5) of A+(B_n), n = sg.n; every choice of method is made here.
-
-    r1 is the small-rank routine; r2 the exact sweep below the S ∪ T witness;
-    r3 brute force at n = 1 and the verified construction otherwise; r5 the
-    smallest prime subset. r4 is searched at n = 1 and is the closed form for
-    n >= 6. For 2 <= n <= 5 it is open: the branch and bound starts from the
-    largest known independent set (P2 at n = 2, I for n >= 3), so a bounds
-    result always carries a witness of its lower bound, and a search that
-    does not finish is merged with the ``rank_formulas`` bounds.
+    n and the key are checked before any table is built. r1 is the
+    small-rank routine; r2 the exact sweep below the S ∪ T witness; r3 brute
+    force at n = 1 and the verified construction otherwise; r5 the smallest
+    prime subset. r4 is searched at n = 1 and is read from ``rank_formulas``
+    where that is exact (n >= 6, m = 27,253 and up), without the table. For
+    2 <= n <= 5 it is open: the branch and bound starts from the largest
+    known independent set (P2 at n = 2, I for n >= 3), so a bounds result
+    always carries a witness of its lower bound, and a search that does not
+    finish is merged with the ``rank_formulas`` bounds. Every other rank is
+    computed on ``a_plus_semigroup(n)``, which is cached.
     """
-    n = sg.n
-    if n is None:
-        raise InvalidParameterError("plan_rank needs a semigroup built by a_plus_semigroup")
+    formula = rank_formulas(n).ranks["r4"]  # checks n
+    if key not in RANK_KEYS:
+        raise InvalidParameterError(f"unknown rank {key!r}; expected one of {RANK_KEYS}")
+    if key == "r4" and n > 1 and formula.exact:
+        return formula
+    if key == "r3" and n > 1:
+        return intermediate_rank_verify(n, budget)
+    sg = a_plus_semigroup(n)
     if key == "r1":
         return small_rank(sg, budget)
     if key == "r2":
         return lower_rank_exact(sg, budget, witness=generating_witness(n) if n >= 2 else None)
     if key == "r3":
-        if n == 1:
-            return intermediate_rank_bruteforce(sg, budget)
-        return intermediate_rank_verify(sg, budget)
+        return intermediate_rank_bruteforce(sg, budget)
     if key == "r5":
         return large_rank_exact(sg, budget)
-    if key != "r4":
-        raise InvalidParameterError(f"unknown rank {key!r}; expected one of {RANK_KEYS}")
     if n == 1:
         return upper_rank_search(sg, budget)
-    closed = closed_form_rank(n, key)
-    if closed is not None:
-        return closed
-    formula = rank_formulas(n).ranks["r4"]
     rv = upper_rank_search(sg, budget, seed=construct_witness(n, "P2" if n == 2 else "I"))
     if not rv.exact:
         rv.bounds = (max(rv.lower, formula.lower), min(rv.upper, formula.upper))

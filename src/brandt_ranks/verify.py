@@ -26,13 +26,10 @@ from .affine import (
     a_plus_semigroup,
     a_plus_size,
     affine_closure_oracle,
-    apply_map,
     enumerate_a_plus,
     map_table,
-    support,
-    support_size,
 )
-from .brandt import bn_index, check_n
+from .brandt import check_n
 from .engine import FiniteSemigroup
 from .errors import WitnessVerificationError
 from .ranks import (
@@ -113,7 +110,8 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _greens_r_characterization(n: int, r_classes: list[list[int]]) -> str:
-    """Generic R-partition vs equal supports plus equal first projections."""
+    """Generic R-partition vs equal supports plus equal first projections,
+    both read from each element's ``map_table``."""
     elems = enumerate_a_plus(n)
     nonzero = [i for i, e in enumerate(elems) if not isinstance(e, ConstZero)]
     generic = {
@@ -123,10 +121,10 @@ def _greens_r_characterization(n: int, r_classes: list[list[int]]) -> str:
     }
     sigs: dict[tuple, list[int]] = {}
     for i in nonzero:
-        e = elems[i]
-        supp = sorted(support(n, e), key=lambda x: bn_index(n, x))
-        pi1 = tuple(apply_map(n, e, x)[0] for x in supp)
-        sigs.setdefault((tuple(supp), pi1), []).append(i)
+        t = map_table(n, elems[i])
+        supp = tuple(x for x, v in enumerate(t) if v is not None)
+        pi1 = tuple(t[x][0] for x in supp)
+        sigs.setdefault((supp, pi1), []).append(i)
     characterized = {frozenset(v) for v in sigs.values()}
     _require(generic == characterized, "R-classes disagree with the support/projection form")
     return f"{len(characterized)} nonzero R-classes match"
@@ -170,11 +168,11 @@ def _support_sum_bound(n: int, sg: FiniteSemigroup) -> str:
     The sums are read from the Cayley table, whose x + g columns come from
     ``add_maps`` and whose other columns are composed from them
     (``FiniteSemigroup.from_elements``); the tests compare that table with
-    one ``add_maps`` call per pair up to n = 4. Sizes are at most n*n + 1,
-    so int8 holds them.
+    one ``add_maps`` call per pair up to n = 4. Sizes are counted from each
+    element's ``map_table`` and are at most n*n + 1, so int8 holds them.
     """
     elems = enumerate_a_plus(n)
-    sizes = np.array([support_size(n, e) for e in elems], dtype=np.int8)
+    sizes = np.array([n * n + 1 - map_table(n, e).count(None) for e in elems], dtype=np.int8)
     sums = sizes[sg.table]
     bad = (sums > sizes[:, None]) | (sums > sizes[None, :])
     if bad.any():
@@ -285,7 +283,7 @@ def verify_all(n: int, budget: SearchBudget | None = None) -> VerificationReport
         runner.run("witness-V-prime", check_v_prime)
 
     def check_r1() -> str:
-        rv = plan_rank(sg, "r1", remaining())
+        rv = plan_rank(n, "r1", remaining())
         ranks.ranks["r1"] = rv
         expected = formulas.ranks["r1"].value
         _require(rv.value == expected, f"r1 {rv.value} != {expected}")
@@ -298,7 +296,7 @@ def verify_all(n: int, budget: SearchBudget | None = None) -> VerificationReport
     runner.run("rank-r1", check_r1)
 
     def check_r2() -> str:
-        rv = plan_rank(sg, "r2", remaining())
+        rv = plan_rank(n, "r2", remaining())
         ranks.ranks["r2"] = rv
         expected = formulas.ranks["r2"].value
         _require(rv.exact and rv.value == expected, f"r2 {rv.value or rv.bounds} != {expected}")
@@ -308,7 +306,7 @@ def verify_all(n: int, budget: SearchBudget | None = None) -> VerificationReport
     runner.run("rank-r2", check_r2)
 
     def check_r3() -> str:
-        rv = plan_rank(sg, "r3", remaining())
+        rv = plan_rank(n, "r3", remaining())
         ranks.ranks["r3"] = rv
         expected = formulas.ranks["r3"].value
         _require(rv.exact and rv.value == expected, f"r3 {rv.value or rv.bounds} != {expected}")
@@ -317,7 +315,7 @@ def verify_all(n: int, budget: SearchBudget | None = None) -> VerificationReport
     runner.run("rank-r3", check_r3)
 
     def check_r5() -> str:
-        rv = plan_rank(sg, "r5", remaining())
+        rv = plan_rank(n, "r5", remaining())
         ranks.ranks["r5"] = rv
         expected = formulas.ranks["r5"].value
         _require(rv.exact and rv.value == expected, f"r5 {rv.value or rv.bounds} != {expected}")
@@ -332,7 +330,7 @@ def verify_all(n: int, budget: SearchBudget | None = None) -> VerificationReport
             ranks.ranks["r4"] = rv
             return f"r4 in [{rv.lower}, {rv.upper}]"
         formula = formulas.ranks["r4"]
-        rv = plan_rank(sg, "r4", remaining())
+        rv = plan_rank(n, "r4", remaining())
         ranks.ranks["r4"] = rv
         if formula.exact:  # searched at n = 1, the closed form itself for n >= 6
             _require(rv.exact and rv.value == formula.value,

@@ -8,6 +8,8 @@ import itertools
 import time
 from math import factorial
 
+from test_affine import support_size
+
 from brandt_ranks import engine
 from brandt_ranks.affine import (
     Const,
@@ -19,7 +21,6 @@ from brandt_ranks.affine import (
     enumerate_a_plus,
     map_label,
     map_table,
-    support_size,
 )
 from brandt_ranks.engine import FiniteSemigroup, closure_bits, export_table, import_table
 from brandt_ranks.ranks import (
@@ -125,9 +126,9 @@ def test_criterion_5_lower_rank(ab2, ab3):
 
 def test_criterion_6_intermediate_rank(ab2, ab3):
     with _Timer() as t:
-        rv2 = intermediate_rank_verify(ab2, BIG)
+        rv2 = intermediate_rank_verify(2, BIG)
         assert rv2.value == 6 and rv2.provenance == "exact-search"
-        rv3 = intermediate_rank_verify(ab3, BIG)
+        rv3 = intermediate_rank_verify(3, BIG)
         assert rv3.value == 22
         for n, rv in ((2, rv2), (3, rv3)):
             assert rv.value == n * factorial(n) + 2 * n - 2

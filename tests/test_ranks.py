@@ -1,6 +1,5 @@
 import itertools
 import json
-import types
 from math import factorial
 from pathlib import Path
 
@@ -424,20 +423,20 @@ def test_lower_rank_sweep_size_without_a_witness_n2(ab2, monkeypatch):
 # --- r3 -------------------------------------------------------------------------
 
 
-def test_intermediate_rank_n2(ab2):
-    rv = intermediate_rank_verify(ab2, BIG)
+def test_intermediate_rank_n2():
+    rv = intermediate_rank_verify(2, BIG)
     assert rv.value == 6
     assert rv.provenance == PROV_SEARCH
 
 
-def test_intermediate_rank_n3(ab3):
-    rv = intermediate_rank_verify(ab3, BIG)
+def test_intermediate_rank_n3():
+    rv = intermediate_rank_verify(3, BIG)
     assert rv.value == 22
     assert rv.provenance == PROV_WITNESS
 
 
-def test_intermediate_rank_n4(ab4):
-    rv = intermediate_rank_verify(ab4)
+def test_intermediate_rank_n4():
+    rv = intermediate_rank_verify(4)
     assert rv.value == 102
     assert rv.provenance == PROV_WITNESS
 
@@ -445,28 +444,21 @@ def test_intermediate_rank_n4(ab4):
 def test_intermediate_rank_n2_keeps_budget(ab2):
     # one node per stratified candidate: the limit stops the confirmation
     # after the first, and the verified witness still proves the lower bound
-    rv = intermediate_rank_verify(ab2, SearchBudget(node_limit=1))
+    rv = intermediate_rank_verify(2, SearchBudget(node_limit=1))
     assert not rv.exact and rv.provenance == PROV_BOUNDS
     assert rv.bounds == (6, 29)
     assert len(rv.witness) == 6 and engine.is_independent(ab2, rv.witness)
     assert "budget exhausted" in rv.detail
-    assert not plan_rank(ab2, "r3", SearchBudget(node_limit=1)).exact
+    assert not plan_rank(2, "r3", SearchBudget(node_limit=1)).exact
 
 
 def test_intermediate_rank_bruteforce_b1(ab1):
     assert intermediate_rank_bruteforce(ab1, BIG).value == 3
 
 
-def test_intermediate_rank_rejects_n1(ab1):
+def test_intermediate_rank_rejects_n1():
     with pytest.raises(InvalidParameterError):
-        intermediate_rank_verify(ab1)
-
-
-def test_intermediate_rank_rejects_a_table_without_n(ab2):
-    imported = engine.import_table(engine.export_table(ab2, "csv"))
-    assert imported.n is None
-    with pytest.raises(InvalidParameterError):
-        intermediate_rank_verify(imported)
+        intermediate_rank_verify(1)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -474,7 +466,7 @@ def test_independent_generating_witnesses_respect_size_cap(n, ab2, ab3):
     # every independent generating set is capped at n(n!) + 2n - 2
     sg = ab2 if n == 2 else ab3
     cap = n * factorial(n) + 2 * n - 2
-    rv = intermediate_rank_verify(sg, BIG)
+    rv = intermediate_rank_verify(n, BIG)
     assert len(rv.witness) == rv.value <= cap
     sut = generating_witness(n)
     if engine.is_independent(sg, sut) and engine.is_generating(sg, sut):
@@ -599,7 +591,7 @@ def test_upper_rank_search_keeps_budget(ab3):
 def test_plan_rank_r4_n4_lower_bound_has_its_witness(ab4):
     # the search starts from I, so the reported lower bound 388 is the size of
     # the independent witness that comes with it
-    rv = plan_rank(ab4, "r4", SearchBudget(seconds=600, node_limit=20))
+    rv = plan_rank(4, "r4", SearchBudget(seconds=600, node_limit=20))
     assert not rv.exact
     assert len(rv.witness) == rv.lower == 388
     assert rv.upper == kappa_upper_bound(4) == 520
@@ -607,10 +599,10 @@ def test_plan_rank_r4_n4_lower_bound_has_its_witness(ab4):
     assert rv.detail == "budget exhausted; best witness kept; merged with construction/cap bounds"
 
 
-def test_plan_rank_r4_checks_the_seed_once(ab3, monkeypatch):
+def test_plan_rank_r4_checks_the_seed_once(monkeypatch):
     # the search keeps the 57-element seed, so its end check is skipped
     calls = _count_calls(monkeypatch, engine, "is_independent")
-    rv = plan_rank(ab3, "r4", SearchBudget(seconds=600, node_limit=8_000))
+    rv = plan_rank(3, "r4", SearchBudget(seconds=600, node_limit=8_000))
     assert rv.bounds == (57, 104)
     assert len(calls) == 1
 
@@ -623,7 +615,7 @@ def test_upper_rank_rechecks_a_set_the_search_found(ab2, monkeypatch):
 
 
 def test_plan_rank_r4_n2_merges_an_unfinished_search(ab2):
-    rv = plan_rank(ab2, "r4", SearchBudget(seconds=600, node_limit=50))
+    rv = plan_rank(2, "r4", SearchBudget(seconds=600, node_limit=50))
     assert rv.bounds == (14, 23)
     assert len(rv.witness) == 14 and engine.is_independent(ab2, rv.witness)
 
@@ -632,7 +624,7 @@ def test_plan_rank_r4_n2_merges_an_unfinished_search(ab2):
 @pytest.mark.parametrize("key", ["r1", "r2", "r3", "r4", "r5"])
 def test_plan_rank_labels_and_times_every_result(n, key, ab1, ab2, ab3):
     sg = (ab1, ab2, ab3)[n - 1]
-    rv = plan_rank(sg, key, SearchBudget(seconds=600, node_limit=20_000))
+    rv = plan_rank(n, key, SearchBudget(seconds=600, node_limit=20_000))
     if rv.witness:
         assert rv.witness_labels == tuple(sg.label_list(rv.witness))
     else:
@@ -640,17 +632,28 @@ def test_plan_rank_labels_and_times_every_result(n, key, ab1, ab2, ab3):
     assert rv.elapsed_ms >= 0
 
 
-def test_plan_rank_r4_closed_form_from_n6():
+def _forbid_table_builds(monkeypatch):
+    def build(n):
+        raise AssertionError(f"a_plus_semigroup({n}) was built")
+
+    monkeypatch.setattr(ranks, "a_plus_semigroup", build)
+
+
+def test_plan_rank_r4_closed_form_from_n6(monkeypatch):
     # n >= 6 reads the closed form and never touches the table
-    rv = plan_rank(types.SimpleNamespace(n=6), "r4")
-    assert rv.value == rank_formulas(6).ranks["r4"].value == 25926
+    _forbid_table_builds(monkeypatch)
+    for n, r4 in ((6, 25_926), (7, 246_967)):
+        rv = plan_rank(n, "r4")
+        formula = rank_formulas(n).ranks["r4"]
+        assert rv.exact and (rv.value, rv.provenance) == (formula.value, formula.provenance)
+        assert rv.value == r4
 
 
-def test_plan_rank_rejects_unknown_key_and_foreign_tables(ab2):
-    with pytest.raises(InvalidParameterError):
-        plan_rank(ab2, "r6")
-    with pytest.raises(InvalidParameterError):
-        plan_rank(constants_semigroup(2), "r1")
+def test_plan_rank_checks_n_and_key_before_building_a_table(monkeypatch):
+    _forbid_table_builds(monkeypatch)
+    for n, key in ((0, "r1"), (True, "r1"), (2.0, "r1"), (2, "r6"), (6, "r6")):
+        with pytest.raises(InvalidParameterError):
+            plan_rank(n, key)
 
 
 # --- r5 -------------------------------------------------------------------------
@@ -715,7 +718,7 @@ def test_large_rank_keeps_budget(ab3):
     assert rv.bounds == (2, 144)
     assert rv.detail == "budget exhausted; no proper prime subset of size <= 1"
     assert smallest_prime_subset(ab3, 3, _Clock(SearchBudget(node_limit=1))) == (None, 1)
-    assert plan_rank(ab3, "r5", SearchBudget(node_limit=1)).bounds == (2, 144)
+    assert plan_rank(3, "r5", SearchBudget(node_limit=1)).bounds == (2, 144)
 
 
 def test_large_rank_checks_its_witness_once_under_one_clock(ab3, monkeypatch):
@@ -762,6 +765,21 @@ def test_large_rank_cap_bounds():
     assert not rv.exact
     assert rv.bounds == (2, 5)
     assert rv.detail == "no proper prime subset of size <= 6"
+
+
+def test_rank_routines_ignore_the_n_tag(ab3, b2, b3):
+    # the n a table carries is a file field: A+(B_3) tagged n = 1, and B_n
+    # with its own n, get what their untagged copies get
+    small = SearchBudget(seconds=600, node_limit=2_000)
+    for sg in (FiniteSemigroup(ab3.labels, ab3.table, n=1), b2, b3):
+        plain = FiniteSemigroup(sg.labels, sg.table)
+        assert sg.n is not None and plain.n is None
+        for routine, budget in ((small_rank, BIG), (lower_rank_exact, small),
+                                (upper_rank_search, small), (large_rank_exact, BIG)):
+            got, want = routine(sg, budget), routine(plain, budget)
+            got.elapsed_ms = want.elapsed_ms = 0.0
+            assert got == want, (sg, routine.__name__)
+    assert large_rank_exact(FiniteSemigroup(ab3.labels, ab3.table, n=1)).value == 144
 
 
 def test_chain_violation_detection():
