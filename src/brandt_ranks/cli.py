@@ -54,11 +54,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="brandt-ranks",
         description="Exact computations on the additive semigroup of affine maps over B_n.",
     )
-    parser.add_argument("-v", "--verbose", action="count", default=0)
+    verbose_help = "also print the witness of each rank in text output"
+    parser.add_argument("-v", "--verbose", action="count", default=0, help=verbose_help)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, budget=False, fmt=None):
         p.add_argument("--n", type=_positive_int, required=True, metavar="N")
+        # also accepted after the subcommand; with no default of its own, the
+        # subparser cannot overwrite a -v given before the subcommand
+        p.add_argument("-v", "--verbose", action="count", default=argparse.SUPPRESS,
+                       help=verbose_help)
         if budget:
             p.add_argument("--budget", type=_positive_float,
                            default=SearchBudget.seconds, metavar="SECONDS")

@@ -37,7 +37,7 @@ def iter_bits(bits: int) -> Iterator[int]:
 
 def _right_cayley_walk(
     m: int, column: Callable[[int], list[int]]
-) -> tuple[list[int], list[list[int]], list[tuple[int, int, list[int]]]]:
+) -> tuple[list[int], list[tuple[int, int, int]]]:
     """Walk the right Cayley graph of a finite semigroup (Froidure & Pin,
     *Algorithms for computing finite semigroups*, 1997).
 
@@ -48,16 +48,16 @@ def _right_cayley_walk(
     element is reached, as a sum of generators, so G generates under any
     binary operation (|G| = 12, 33 and 120 for A+(B_n) at n = 2, 3, 4).
 
-    Returns G, the columns of G and the steps (c, y, column of h) in
-    discovery order, with c = y + h, h in G, and y reached before c. For an
-    associative table x + (y + h) = (x + y) + h, so the column of c is the
-    column of h read at the entries of the column of y. ``from_elements``
-    builds the table that way, and Light's test checks associativity over G.
+    Returns G and the steps (c, y, h) in discovery order, with c = y + h,
+    h in G, and y reached before c. For an associative table
+    x + (y + h) = (x + y) + h, so the column of c is the column of h read at
+    the entries of the column of y. ``from_elements`` builds the table that
+    way, and Light's test checks associativity over G.
     """
     seen = [False] * m
     gens: list[int] = []
     gen_cols: list[list[int]] = []
-    steps: list[tuple[int, int, list[int]]] = []
+    steps: list[tuple[int, int, int]] = []
     reached: list[int] = []
     for g in range(m):
         if seen[g]:
@@ -73,17 +73,17 @@ def _right_cayley_walk(
             c = col[x]
             if not seen[c]:
                 seen[c] = True
-                steps.append((c, x, col))
+                steps.append((c, x, g))
                 new.append(c)
         for y in new:
-            for ch in gen_cols:
+            for h, ch in zip(gens, gen_cols):
                 c = ch[y]
                 if not seen[c]:
                     seen[c] = True
-                    steps.append((c, y, ch))
+                    steps.append((c, y, h))
                     new.append(c)
         reached += new
-    return gens, gen_cols, steps
+    return gens, steps
 
 
 def _associativity_failure(table: np.ndarray) -> tuple[int, int, int] | None:
@@ -95,19 +95,21 @@ def _associativity_failure(table: np.ndarray) -> tuple[int, int, int] | None:
     here the G of ``_right_cayley_walk``. The check costs m * m * |G| lookups.
     """
     by_col = np.ascontiguousarray(table.T)  # by_col[b][a] = a + b
-    gens, _, _ = _right_cayley_walk(len(table), lambda g: by_col[g].tolist())
-    # Both products go into reused buffers: with a fresh pair of m x m
-    # temporaries for each g, the n = 4 check ran about twice as slow
+    gens, _ = _right_cayley_walk(len(table), lambda g: by_col[g].tolist())
+    # Both products and their comparison go into reused buffers: with fresh
+    # m x m temporaries for each g, the n = 4 check ran about twice as slow
     # whenever the allocator returned them to the OS between iterations.
     # "clip" lets numpy write into ``out`` without a buffer; every index is
     # in range.
     left_t, right = np.empty_like(by_col), np.empty_like(by_col)
+    ne = np.empty(by_col.shape, dtype=bool)
     for g in gens:
         # left_t[x, y] = (x + g) + y against right[y, x] = x + (g + y)
         np.take(table, by_col[g], axis=0, out=left_t, mode="clip")
         np.take(by_col, table[g], axis=0, out=right, mode="clip")
-        if not np.array_equal(left_t.T, right):
-            y, x = np.argwhere(left_t.T != right)[0]
+        np.not_equal(left_t.T, right, out=ne)
+        if ne.any():
+            y, x = np.argwhere(ne)[0]
             return int(x), g, int(y)
     return None
 
@@ -189,6 +191,10 @@ class Sums(NamedTuple):
     col_fibers: list[dict[int, int]]
 
 
+# Element indices are stored as int16, which holds 0 .. 32,767.
+_MAX_ELEMENTS = np.iinfo(np.int16).max + 1
+
+
 class FiniteSemigroup:
     """An indexed element list with labels plus its full Cayley table.
 
@@ -196,8 +202,11 @@ class FiniteSemigroup:
     Light's test. ``rows`` holds the table as plain Python lists
     (``rows[a][b] = a + b``) for tight search loops, and ``sums`` groups
     each row and column by value for the closure kernel. Instances are
-    immutable after construction; an int32 array given as ``table`` is kept
-    as ``table`` without a copy and made read-only.
+    immutable after construction. ``table`` is an int16 array, so a table
+    holds at most ``_MAX_ELEMENTS`` = 32,768 elements (A+(B_6) has 27,253);
+    an int16 array given as ``table`` is kept without a copy and made
+    read-only, and any other integer table is narrowed after its range
+    check.
     """
 
     def __init__(self, labels, table, n: int | None = None):
@@ -205,6 +214,10 @@ class FiniteSemigroup:
         m = len(labels)
         if m == 0:
             raise TableValidationError("empty element list")
+        if m > _MAX_ELEMENTS:
+            raise TableValidationError(
+                f"{m} labels: a table holds at most {_MAX_ELEMENTS} elements"
+            )
         if len(set(labels)) != m:
             raise TableValidationError("labels must be distinct")
         try:
@@ -220,7 +233,7 @@ class FiniteSemigroup:
         # range-check before narrowing, so no entry can wrap into range
         if int(arr.min()) < 0 or int(arr.max()) >= m:
             raise TableValidationError("table entries must be element indices in [0, m)")
-        arr = arr.astype(np.int32, copy=False)
+        arr = arr.astype(np.int16, copy=False)
         bad = _associativity_failure(arr)
         if bad is not None:
             a, b, c = bad
@@ -300,9 +313,12 @@ class FiniteSemigroup:
         """Build the Cayley table of ``elements`` under the associative ``add_fn``.
 
         Only the columns x + g for g in the generating set G of
-        ``_right_cayley_walk`` call ``add_fn``, m calls each; every other
-        column is composed from them along the walk's steps. ``add_fn`` is
-        therefore called m * |G| times instead of m * m.
+        ``_right_cayley_walk`` call ``add_fn``, m calls each, and go straight
+        into one m x m int16 array of columns; every other column is composed
+        in place from them along the walk's steps, one ``np.take`` each
+        (column c = column h read at column y). ``add_fn`` is therefore
+        called m * |G| times instead of m * m. More than ``_MAX_ELEMENTS``
+        elements raise InvalidParameterError before ``add_fn`` is called.
 
         ``add_fn`` must be associative, and a non-associative one is not
         detected: the table is derived from the x + g columns, so it may
@@ -320,21 +336,25 @@ class FiniteSemigroup:
                 raise InvalidParameterError(f"duplicate element {lab[i]!r}")
             index[e] = i
         m = len(elements)
+        if m > _MAX_ELEMENTS:
+            raise InvalidParameterError(f"{m} elements: a table holds at most {_MAX_ELEMENTS}")
+
+        by_col = np.empty((m, m), dtype=np.int16)  # by_col[b][a] = a + b
 
         def column(g: int) -> list[int]:
             col = list(map(index.get, map(add_fn, elements, itertools.repeat(elements[g], m))))
             if None in col:
                 raise ClosureViolationError(lab[col.index(None)], lab[g])
+            by_col[g] = col
             return col
 
-        gens, gen_cols, steps = _right_cayley_walk(m, column)
-        cols: list[list[int] | None] = [None] * m  # cols[b][a] = a + b
-        for g, col in zip(gens, gen_cols):
-            cols[g] = col
-        for c, y, ch in steps:
-            cols[c] = list(map(ch.__getitem__, cols[y]))
-        table = np.array(cols, dtype=np.int32).T.copy()
-        del cols, gen_cols, steps  # free the boxed columns before __init__ boxes the rows
+        _, steps = _right_cayley_walk(m, column)
+        # "clip" lets numpy write into ``out`` without a buffer; every index
+        # is in range
+        for c, y, h in steps:
+            np.take(by_col[h], by_col[y], out=by_col[c], mode="clip")
+        table = by_col.T.copy()
+        del by_col  # free the columns before __init__ boxes the rows
         return cls(lab, table, n=n)
 
     def label_list(self, indices: Iterable[int]) -> list[str]:

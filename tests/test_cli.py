@@ -80,6 +80,31 @@ def test_rank_r5(capsys):
     assert "r5 = 29" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("-v", "rank", "--n", "2", "--which", "r5"),
+        ("rank", "--n", "2", "--which", "r5", "-v"),
+        ("--verbose", "rank", "--verbose", "--n", "2", "--which", "r5"),
+    ],
+)
+def test_verbose_before_or_after_the_subcommand_prints_the_witness(capsys, argv):
+    code, out, _ = invoke(capsys, *argv)
+    assert code == EXIT_OK
+    _, quiet, _ = invoke(capsys, "rank", "--n", "2", "--which", "r5")
+    assert out.startswith(quiet)
+    witness = out[len(quiet):]
+    assert witness.startswith("  witness: xi(0) ") and witness.count("\n") == 1
+
+
+def test_verbose_count_survives_the_subparser():
+    parse = cli.build_parser().parse_args
+    rest = ["--n", "2", "--which", "r5"]
+    assert parse(["rank", *rest]).verbose == 0
+    assert parse(["-v", "-v", "rank", *rest]).verbose == 2
+    assert parse(["rank", *rest, "-vv"]).verbose == 2
+
+
 def test_rank_r2_exact(capsys):
     code, out, _ = invoke(capsys, "rank", "--n", "2", "--which", "r2", "--budget", "300")
     assert code == EXIT_OK

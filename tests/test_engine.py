@@ -109,8 +109,79 @@ def test_from_elements_calls_add_fn_only_for_generator_columns(n, calls):
     # G is the greedy generating set, each element that the earlier ones do
     # not generate; the walk over the finished table's columns (Light's
     # test) finds the same G
-    walked, _, _ = engine._right_cayley_walk(sg.m, lambda g: sg.table[:, g].tolist())
+    walked, _ = engine._right_cayley_walk(sg.m, lambda g: sg.table[:, g].tolist())
     assert gens == _closure_greedy_generators(sg) == walked
+
+
+def _check_walk_steps(sg):
+    """Every step (c, y, h) of the walk over the table's columns has h in G,
+    y a generator or reached by an earlier step, and column c = column h
+    read at column y; G and the steps reach every element once."""
+    table = sg.table
+    gens, steps = engine._right_cayley_walk(sg.m, lambda g: table[:, g].tolist())
+    assert sorted(gens + [c for c, _, _ in steps]) == list(range(sg.m))
+    reached = set(gens)
+    for c, y, h in steps:
+        assert h in gens and y in reached
+        assert table[y, h] == c
+        assert table[:, c].tolist() == table[table[:, y], h].tolist()
+        reached.add(c)
+
+
+@pytest.mark.parametrize("name", ["ab2", "ab3", "b3"])
+def test_walk_steps_compose_columns(name, request):
+    _check_walk_steps(request.getfixturevalue(name))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_plus_table_is_int16(n):
+    assert a_plus_semigroup(n).table.dtype == np.int16
+
+
+def test_int16_table_is_kept_and_wider_tables_are_narrowed():
+    labels = ["a", "b", "c"]
+    cyclic = [[(x + y) % 3 for y in range(3)] for x in range(3)]
+    kept = np.array(cyclic, dtype=np.int16)
+    sg = FiniteSemigroup(labels, kept)
+    assert sg.table is kept and not kept.flags.writeable
+    for dtype in (np.int32, np.int64, np.uint64):
+        wide = np.array(cyclic, dtype=dtype)
+        sg = FiniteSemigroup(labels, wide)
+        assert sg.table.dtype == np.int16 and sg.table.tolist() == cyclic
+        assert wide.flags.writeable
+    assert FiniteSemigroup(labels, cyclic).table.dtype == np.int16
+
+
+class _Untouchable:
+    """A table that records every attempt to read it."""
+
+    def __init__(self):
+        self.reads = []
+
+    def __getattr__(self, name):
+        self.reads.append(name)
+        raise AttributeError(name)
+
+
+def test_more_than_32768_labels_refused_before_the_table_is_read():
+    table = _Untouchable()
+    with pytest.raises(TableValidationError) as err:
+        FiniteSemigroup([f"x{i}" for i in range(32_769)], table)
+    assert "at most 32768" in str(err.value)
+    assert table.reads == []
+    # 32,768 labels pass the count and reach the table
+    with pytest.raises(TableValidationError):
+        FiniteSemigroup([f"x{i}" for i in range(32_768)], table)
+    assert table.reads
+
+
+def test_from_elements_refuses_more_than_32768_elements_before_adding():
+    def add(a, b):
+        raise AssertionError("add_fn called")
+
+    with pytest.raises(InvalidParameterError) as err:
+        FiniteSemigroup.from_elements(range(32_769), add)
+    assert "at most 32768" in str(err.value)
 
 
 def test_from_elements_names_both_labels_of_a_sum_outside_the_list():
@@ -234,7 +305,7 @@ def small_tables(draw, kinds=("random",) + SEMIGROUP_KINDS):
 @given(small_tables())
 def test_light_test_matches_exhaustive_check(table):
     expected = _violations(table)
-    found = engine._associativity_failure(np.asarray(table, dtype=np.int32))
+    found = engine._associativity_failure(np.asarray(table, dtype=np.int16))
     if expected:
         assert found in expected
         with pytest.raises(TableValidationError):
@@ -242,6 +313,14 @@ def test_light_test_matches_exhaustive_check(table):
     else:
         assert found is None
         FiniteSemigroup([f"x{i}" for i in range(len(table))], table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_tables(SEMIGROUP_KINDS))
+def test_walk_steps_compose_columns_of_small_tables(table):
+    sg = semigroup_or_none(table)
+    assume(sg is not None)
+    _check_walk_steps(sg)
 
 
 # --- closure and generation -------------------------------------------------------
@@ -906,7 +985,7 @@ def test_import_rejects_bool_n():
         import_table('{"n": true, "labels": ["a"], "table": [[0]]}')
 
 
-BIG = 2**32  # wraps to 0 when narrowed to int32
+BIG = 2**32  # wraps to 0 when narrowed to int16 or int32
 
 
 def test_import_json_rejects_entries_past_int32():
