@@ -14,7 +14,7 @@ from math import factorial, isfinite
 from pathlib import Path
 
 from . import engine
-from .affine import a_plus_semigroup, a_plus_size
+from .affine import a_plus_semigroup, a_plus_size, enumerate_a_plus
 from .errors import InvalidParameterError
 from .ranks import RankReport, SearchBudget, plan_rank, rank_formulas
 from .verify import nsupport_r_class_count, verify_all
@@ -128,7 +128,7 @@ def _cmd_greens(args) -> int:
     sg = a_plus_semigroup(n)
     r_classes = engine.greens_classes(sg, "R")
     l_classes = engine.greens_classes(sg, "L")
-    nsup = nsupport_r_class_count(n, r_classes)
+    nsup = nsupport_r_class_count(enumerate_a_plus(n), r_classes)
     expected = factorial(n) * n
     payload = {
         "n": n,

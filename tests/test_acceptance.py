@@ -88,8 +88,8 @@ def test_criterion_3_greens(ab2, ab3):
             classes = engine.greens_classes(sg, "R")
             nsup = sum(1 for c in classes if any(isinstance(elems[i], NSupport) for i in c))
             assert nsup == expected == factorial(n) * n
-            _greens_r_characterization(n, classes)
-            _greens_l_constants(n, sg)
+            _greens_r_characterization(n, elems, classes)
+            _greens_l_constants(elems, sg)
     _report(3, t.elapsed < 30.0,
             f"(n!)n R-classes = 4, 18 and ideal/characterization partitions agree in {t.elapsed:.1f}s")
 

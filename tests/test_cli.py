@@ -20,6 +20,7 @@ import pytest
 from brandt_ranks import cli
 from brandt_ranks.cli import (
     EXIT_BUDGET,
+    EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
     run,
@@ -151,6 +152,20 @@ def test_verify_n2_reports_exact_ranks(capsys):
     assert "r3 = 6" in out
     assert "r5 = 29" in out
     assert "[FAIL]" not in out
+
+
+def test_verify_fails_a_closed_form_rank_the_node_limit_cuts_short(capsys):
+    code, out, _ = invoke(capsys, "verify", "--n", "2", "--node-limit", "5")
+    assert code == EXIT_MISMATCH
+    lines = out.splitlines()
+    assert lines[-1] == "overall: MISMATCH"
+    checks = [re.fullmatch(r"\[(PASS|FAIL)\] (\S+)(?: \((.*)\))? \[\d+ ms\]", line).groups()
+              for line in lines[:-1]]
+    assert len(checks) == 18
+    assert [c for c in checks if c[0] == "FAIL"] == [
+        ("FAIL", "rank-r3", "WitnessVerificationError: r3 (6, 29) != 6"),
+    ]
+    assert ("PASS", "rank-r4", "r4 in [14, 23] (budget exhausted)") in checks
 
 
 def test_prime(capsys):

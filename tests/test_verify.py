@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from test_affine import support_size
 
-from brandt_ranks import engine
+from brandt_ranks import engine, verify
 from brandt_ranks.affine import a_plus_semigroup, enumerate_a_plus
-from brandt_ranks.errors import WitnessVerificationError
+from brandt_ranks.errors import ClosureViolationError, WitnessVerificationError
 from brandt_ranks.ranks import PROV_BOUNDS, RANK_KEYS, RankValue, SearchBudget, plan_rank, rank_formulas
 from brandt_ranks.verify import _support_sum_bound, verify_all
 
@@ -30,7 +30,9 @@ def _first_violation(n, table):
 def test_support_sum_bound_holds(n):
     sg = a_plus_semigroup(n)
     assert _first_violation(n, sg.rows) is None
-    assert _support_sum_bound(n, sg) == f"all {sg.m ** 2} pairs respect the support bound"
+    assert _support_sum_bound(n, enumerate_a_plus(n), sg) == (
+        f"all {sg.m ** 2} pairs respect the support bound"
+    )
 
 
 def test_support_sum_bound_reports_first_failing_pair():
@@ -41,7 +43,7 @@ def test_support_sum_bound_reports_first_failing_pair():
     table[4, 20] = const
     f, g = _first_violation(2, table.tolist())
     with pytest.raises(WitnessVerificationError) as err:
-        _support_sum_bound(2, types.SimpleNamespace(table=np.asarray(table)))
+        _support_sum_bound(2, enumerate_a_plus(2), types.SimpleNamespace(table=np.asarray(table)))
     assert str(err.value) == f"support bound fails for {f!r} + {g!r}"
     assert f == enumerate_a_plus(2)[4]
 
@@ -83,3 +85,41 @@ def test_verify_computes_the_r_classes_once(monkeypatch):
     monkeypatch.setattr(engine, "greens_classes", counted)
     assert verify_all(1, BIG).ok
     assert sides == ["R", "L"]
+
+
+def test_verify_reports_r1_cut_short_by_its_bounds():
+    report = verify_all(1, SearchBudget(node_limit=1))
+    r1 = next(c for c in report.checks if c.name == "rank-r1")
+    assert not r1.passed
+    assert r1.detail == "WitnessVerificationError: r1 (1, 3) != 3"
+    assert not report.ok
+
+
+def test_verify_stops_after_a_failed_closure_check(monkeypatch):
+    def violated(n):
+        raise ClosureViolationError("xi(1,1)", "xi(2,2)")
+
+    monkeypatch.setattr(verify, "a_plus_semigroup", violated)
+    report = verify_all(2, BIG)
+    assert [(c.name, c.passed) for c in report.checks] == [
+        ("element-count", True), ("closure", False),
+    ]
+    assert report.checks[1].detail == (
+        "ClosureViolationError: sum of 'xi(1,1)' and 'xi(2,2)' is not in the element list"
+    )
+    assert not report.ok
+    assert report.ranks.ranks == {}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_verify_enumerates_the_elements_once(n, monkeypatch):
+    calls = []
+    enumerate_a_plus = verify.enumerate_a_plus
+
+    def counted(k):
+        calls.append(k)
+        return enumerate_a_plus(k)
+
+    monkeypatch.setattr(verify, "enumerate_a_plus", counted)
+    assert verify_all(n, BIG).ok
+    assert calls == [n]
