@@ -231,13 +231,22 @@ def map_label(f: AffineMapElement) -> str:
 
 @lru_cache(maxsize=4)
 def a_plus_semigroup(n: int) -> FiniteSemigroup:
-    """The additive semigroup as a FiniteSemigroup in canonical order."""
+    """The additive semigroup as a FiniteSemigroup in canonical order.
+
+    The table is certified through each element's ``map_table`` values in
+    B_n, whose own table comes from ``bn_add`` (see
+    ``engine._check_representation``).
+    """
     elems = enumerate_a_plus(n)
+    bn = bn_elements(n)
+    values = [[bn_index(n, x) for x in map_table(n, f)] for f in elems]
+    bn_table = [[bn_index(n, bn_add(n, x, y)) for y in bn] for x in bn]
     return FiniteSemigroup.from_elements(
         elems,
         lambda f, g: add_maps(n, f, g),
         labels=[map_label(f) for f in elems],
         n=n,
+        representation=(values, bn_table),
     )
 
 

@@ -17,6 +17,7 @@ from brandt_ranks.affine import (
     add_maps,
     enumerate_a_plus,
     map_label,
+    map_table,
 )
 from brandt_ranks.brandt import bn_add, bn_elements, brandt_semigroup
 from brandt_ranks.engine import (
@@ -321,6 +322,121 @@ def test_walk_steps_compose_columns_of_small_tables(table):
     sg = semigroup_or_none(table)
     assume(sg is not None)
     _check_walk_steps(sg)
+
+
+def _a_plus_representation(n):
+    """The value rows of A+(B_n) in B_n and B_n's table, as ``a_plus_semigroup``
+    passes them, rebuilt here from ``map_table`` and ``bn_add``."""
+    bn = bn_elements(n)
+    index = {x: i for i, x in enumerate(bn)}
+    values = [[index[x] for x in map_table(n, f)] for f in enumerate_a_plus(n)]
+    return values, [[index[bn_add(n, x, y)] for y in bn] for x in bn]
+
+
+def _certify(sg, table=None, values=None, codomain=None):
+    """Build ``sg``'s labels over ``table`` with the A+(B_n) representation,
+    either part of which may be replaced."""
+    rep_values, rep_codomain = _a_plus_representation(sg.n)
+    return FiniteSemigroup(
+        sg.labels,
+        sg.table if table is None else table,
+        n=sg.n,
+        representation=(
+            rep_values if values is None else values,
+            rep_codomain if codomain is None else codomain,
+        ),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_certificate_accepts_the_a_plus_tables(n):
+    assert _certify(a_plus_semigroup(n)) == a_plus_semigroup(n)
+
+
+def test_certificate_refuses_a_relabelled_table_that_light_accepts(ab3):
+    # swapping the zero map with a constant is no automorphism, so the
+    # relabelled table is associative but is not A+(B_3) in these labels
+    perm = np.arange(ab3.m)
+    perm[[0, 1]] = [1, 0]
+    relabelled = np.empty_like(ab3.table)
+    relabelled[np.ix_(perm, perm)] = perm[ab3.table]
+    assert not np.array_equal(relabelled, ab3.table)
+    assert engine._associativity_failure(relabelled) is None
+    FiniteSemigroup(ab3.labels, relabelled)
+    with pytest.raises(TableValidationError, match="is not their sum at coordinate"):
+        _certify(ab3, table=relabelled)
+
+
+@pytest.mark.parametrize("name, a, b", [("ab3", 120, 7), ("ab4", 203, 600), ("ab4", 656, 3)])
+def test_certificate_refuses_one_corrupted_entry(name, a, b, request):
+    # the certificate takes 45 rows at a time at n = 3 and 5 at n = 4, so
+    # row 120 is in the third block, row 203 inside one, and row 656 is the
+    # second of the last block
+    sg = request.getfixturevalue(name)
+    table = sg.table.copy()
+    table[a, b] = (table[a, b] + 1) % sg.m
+    wrong = sg.labels[table[a, b]]
+    with pytest.raises(TableValidationError) as err:
+        _certify(sg, table=table)
+    assert str(err.value).startswith(f"{sg.labels[a]} + {sg.labels[b]} = {wrong} is not their sum")
+
+
+def test_certificate_refuses_two_equal_value_rows(ab2):
+    values, _ = _a_plus_representation(2)
+    values[7] = values[3]
+    with pytest.raises(TableValidationError) as err:
+        _certify(ab2, values=values)
+    assert str(err.value) == f"{ab2.labels[3]} and {ab2.labels[7]} have the same values"
+
+
+def test_certificate_refuses_a_non_associative_codomain(ab2):
+    _, codomain = _a_plus_representation(2)
+    codomain[1][1] = 2  # (1,1) + (1,1) = (1,2) in B_2
+    assert _violations(codomain)
+    with pytest.raises(TableValidationError, match="codomain associativity fails"):
+        _certify(ab2, codomain=codomain)
+
+
+@pytest.mark.parametrize(
+    "values, codomain, message",
+    [
+        ([[0], [1], [1]], [[0, 2], [0, 1]], "codomain entries must be indices in"),
+        ([[0], [1]], [[0, 0], [0, 1]], "values must be an integer matrix with 3 rows"),
+        ([[0], [1], [2]], [[0, 0], [0, 1]], "values must be codomain indices in"),
+        ([[0], [1], [1]], [[0, 0], [0, 1]], "b and c have the same values"),
+        ([[0, 0], [0, 0]], [[0, 0], [0, 1]], "values must be an integer matrix with 3 rows"),
+        ([[0.0], [1.0], [1.0]], [[0, 0], [0, 1]], "values must be an integer matrix"),
+        ([[0], [1], [1]], [[0, 1]], "codomain must be a nonempty square integer matrix"),
+    ],
+)
+def test_certificate_refuses_malformed_representations(values, codomain, message):
+    # a + b = a on {a, b, c}, a left-zero semigroup
+    with pytest.raises(TableValidationError, match=message):
+        FiniteSemigroup(["a", "b", "c"], [[0] * 3, [1] * 3, [2] * 3],
+                        representation=(values, codomain))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_plus_semigroup_builds_without_light_test(n, monkeypatch):
+    def refuse(table):
+        raise AssertionError("Light's test ran")
+
+    monkeypatch.setattr(engine, "_associativity_failure", refuse)
+    assert a_plus_semigroup.__wrapped__(n).rows == a_plus_semigroup(n).rows
+
+
+def test_imported_and_brandt_tables_still_get_light_test(ab3, monkeypatch):
+    calls = []
+
+    def counted(table):
+        calls.append(len(table))
+        return light(table)
+
+    light = engine._associativity_failure
+    monkeypatch.setattr(engine, "_associativity_failure", counted)
+    assert import_table(export_table(ab3)) == ab3
+    assert brandt_semigroup(3).m == 10
+    assert calls == [ab3.m, 10]
 
 
 # --- closure and generation -------------------------------------------------------

@@ -123,3 +123,11 @@ def test_verify_enumerates_the_elements_once(n, monkeypatch):
     monkeypatch.setattr(verify, "enumerate_a_plus", counted)
     assert verify_all(n, BIG).ok
     assert calls == [n]
+
+
+def test_verify_checks_the_lower_bound_witness_of_r4_at_n_4():
+    report = verify_all(4, BIG)
+    assert report.ok
+    check = next(c for c in report.checks if c.name == "witness-I-independent")
+    assert check.detail == "I independent, size 388"
+    assert report.ranks.ranks["r4"].bounds == (388, 520)
