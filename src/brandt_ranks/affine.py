@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import factorial
 from typing import TypeAlias
 
-from .brandt import BnElement, bn_add, bn_elements, bn_index, check_n
+from .brandt import BnElement, bn_add, bn_elements, bn_index, bn_table, check_n
 from .engine import FiniteSemigroup
 from .errors import CapabilityError, InvalidParameterError
 
@@ -229,24 +229,40 @@ def map_label(f: AffineMapElement) -> str:
     return f"ns({f.p + 1},{f.q + 1};[{images}])"
 
 
+# The largest n whose table is built. A+(B_6) has 27,253 elements, within
+# the int16 cap, but its table alone takes 1.49 GB, and the build, m * |G|
+# ``add_maps`` calls (2.3 million already at n = 5), has no budget.
+_MAX_TABLE_N = 5
+
+
+def check_table_n(n: int) -> None:
+    """Raise InvalidParameterError unless A+(B_n)'s table can be built (n <= 5)."""
+    check_n(n)
+    if n > _MAX_TABLE_N:
+        raise InvalidParameterError(
+            f"A+(B_{n}) has {a_plus_size(n)} elements; its table is built only for "
+            f"n <= {_MAX_TABLE_N} (`rank --which formulas` gives the closed-form ranks)"
+        )
+
+
 @lru_cache(maxsize=4)
 def a_plus_semigroup(n: int) -> FiniteSemigroup:
     """The additive semigroup as a FiniteSemigroup in canonical order.
 
     The table is certified through each element's ``map_table`` values in
-    B_n, whose own table comes from ``bn_add`` (see
-    ``engine._check_representation``).
+    B_n, whose own table is ``bn_table`` (see
+    ``engine._check_representation``). n >= 6 is refused before anything is
+    built (``check_table_n``).
     """
+    check_table_n(n)
     elems = enumerate_a_plus(n)
-    bn = bn_elements(n)
     values = [[bn_index(n, x) for x in map_table(n, f)] for f in elems]
-    bn_table = [[bn_index(n, bn_add(n, x, y)) for y in bn] for x in bn]
     return FiniteSemigroup.from_elements(
         elems,
         lambda f, g: add_maps(n, f, g),
         labels=[map_label(f) for f in elems],
         n=n,
-        representation=(values, bn_table),
+        representation=(values, bn_table(n)),
     )
 
 
@@ -267,8 +283,7 @@ def endomorphisms_bruteforce(n: int) -> list[tuple[BnElement, ...]]:
         )
     elems = bn_elements(n)
     m = len(elems)
-    index = {e: i for i, e in enumerate(elems)}
-    sums = [[index[bn_add(n, a, b)] for b in elems] for a in elems]
+    sums = bn_table(n)
     out = []
     for images in itertools.product(range(m), repeat=m):
         ok = True

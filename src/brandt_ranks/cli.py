@@ -1,8 +1,11 @@
 """Command-line front end: build/export tables, Green's analyses, ranks, verification.
 
 Exit codes: 0 success / all verified, 1 verification mismatch, 2 invalid
-arguments, 3 budget exhausted (bounds emitted). The default search budget is
-``SearchBudget``'s: 60 seconds and 1e8 nodes.
+arguments (n >= 6 for a command that needs the table), 3 budget exhausted
+(bounds emitted). ``verify`` never exits 3: a closed-form rank (r1, r2, r3,
+r5) that the budget cuts short is a mismatch, exit 1, while an r4 search cut
+short passes. The default search budget is ``SearchBudget``'s: 60 seconds
+and 1e8 nodes.
 """
 
 from __future__ import annotations

@@ -252,7 +252,8 @@ class Sums(NamedTuple):
     ``row_values[a]`` is the bitmask of a + S and ``col_values[a]`` that of
     S + a. ``row_fibers[a]`` maps each value c of a + S to the bitmask of the
     b with a + b = c, and ``col_fibers[a]`` each value c of S + a to that of
-    the b with b + a = c. ``rows`` is ``FiniteSemigroup.rows``.
+    the b with b + a = c. ``rows`` is the table as plain Python lists
+    (``rows[a][b] = a + b``), for the kernel's member scans.
     """
 
     rows: list[list[int]]
@@ -262,7 +263,9 @@ class Sums(NamedTuple):
     col_fibers: list[dict[int, int]]
 
 
-# Element indices are stored as int16, which holds 0 .. 32,767.
+# Element indices are stored as int16, which holds 0 .. 32,767. A+(B_6),
+# with 27,253 elements, is under the cap, but ``affine.check_table_n``
+# refuses its table before the build.
 _MAX_ELEMENTS = np.iinfo(np.int16).max + 1
 
 
@@ -277,14 +280,13 @@ class FiniteSemigroup:
     ``a_plus_semigroup`` passes each map's values in B_n. Any other table
     gets Light's test for associativity (``_associativity_failure``).
 
-    ``rows`` holds the table as plain Python lists (``rows[a][b] = a + b``)
-    for tight search loops, and ``sums`` groups each row and column by
-    value for the closure kernel. Instances are immutable after
-    construction. ``table`` is an int16 array, so a table
-    holds at most ``_MAX_ELEMENTS`` = 32,768 elements (A+(B_6) has 27,253);
-    an int16 array given as ``table`` is kept without a copy and made
-    read-only, and any other integer table is narrowed after its range
-    check.
+    Construction validates and stores the table, nothing more: ``sums``,
+    which groups each row and column by value for the closure kernel and
+    holds the rows as Python lists, is built on first use. Instances are
+    immutable after construction. ``table`` is an int16 array, so a table
+    holds at most ``_MAX_ELEMENTS`` = 32,768 elements; an int16 array given
+    as ``table`` is kept without a copy and made read-only, and any other
+    integer table is narrowed after its range check.
     """
 
     def __init__(self, labels, table, n: int | None = None, representation=None):
@@ -322,7 +324,6 @@ class FiniteSemigroup:
         arr.setflags(write=False)
         self.labels = labels
         self.table = arr
-        self.rows = arr.tolist()
         self.n = n
 
     @property
@@ -333,14 +334,16 @@ class FiniteSemigroup:
     def sums(self) -> Sums:
         """The table's sums grouped by value (``Sums``), for the closure kernel.
 
-        Built with numpy on first use, a block of lines at a time (about
-        30-45 ms for both sides at n = 4 on a 2-vCPU VM, with a tracemalloc
-        peak of about 4.4 MB, of which 2.7 MB is kept), so tables that are
-        only built and validated skip it.
+        Built on first use, so tables that are only built and validated
+        skip it. The masks and fibers come from two numpy passes, a block of
+        lines at a time (about 30-45 ms for both sides at n = 4 on a 2-vCPU
+        VM, with a tracemalloc peak of about 4.4 MB, of which 2.7 MB is
+        kept). The rows are boxed into lists after both passes, so their
+        3.7 MB do not stack on the passes' temporaries.
         """
         row_values, row_fibers = _line_fibers(self.table)
         col_values, col_fibers = _line_fibers(self.table.T)
-        return Sums(self.rows, row_values, col_values, row_fibers, col_fibers)
+        return Sums(self.table.tolist(), row_values, col_values, row_fibers, col_fibers)
 
     @functools.cached_property
     def ideals(self) -> list[int]:
@@ -436,7 +439,7 @@ class FiniteSemigroup:
         for c, y, h in steps:
             np.take(by_col[h], by_col[y], out=by_col[c], mode="clip")
         table = by_col.T.copy()
-        del by_col  # free the columns before __init__ boxes the rows
+        del by_col  # free the columns before __init__ checks the copy
         return cls(lab, table, n=n, representation=representation)
 
     def label_list(self, indices: Iterable[int]) -> list[str]:
@@ -473,7 +476,7 @@ def extend_closure(sums: Sums, bits: int, x: int) -> int:
     shorter one, by sizes it already has: where the set has more members
     than the row (column) of a has values, each value c not yet in the set
     joins iff its fiber meets the set; otherwise the members b are scanned
-    through ``rows``. A popped element is tested against every member
+    through ``sums.rows``. A popped element is tested against every member
     present at that time and a new one is pushed when it joins, so each pair
     is tested when the later of its two elements is popped.
     """
@@ -621,8 +624,7 @@ def greens_classes(sg: FiniteSemigroup, side: Literal["R", "L"]) -> list[list[in
 
 def is_band(sg: FiniteSemigroup) -> bool:
     """True iff every element is idempotent."""
-    rows = sg.rows
-    return all(rows[a][a] == a for a in range(sg.m))
+    return bool((np.diagonal(sg.table) == np.arange(sg.m)).all())
 
 
 def indecomposables(sg: FiniteSemigroup) -> tuple[int, ...]:
@@ -654,15 +656,14 @@ def export_table(sg: FiniteSemigroup, fmt: Literal["json", "csv"] = "json") -> s
         payload = {
             "n": sg.n,
             "labels": list(sg.labels),
-            "table": [[int(x) for x in row] for row in sg.rows],
+            "table": sg.table.tolist(),
         }
         return json.dumps(payload)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(sg.labels)
-        for row in sg.rows:
-            writer.writerow(row)
+        writer.writerows(sg.table.tolist())
         return buf.getvalue()
     raise InvalidParameterError(f"unknown format {fmt!r}")
 

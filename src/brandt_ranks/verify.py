@@ -30,10 +30,10 @@ from .affine import (
     a_plus_semigroup,
     a_plus_size,
     affine_closure_oracle,
+    check_table_n,
     enumerate_a_plus,
     map_table,
 )
-from .brandt import check_n
 from .engine import FiniteSemigroup
 from .errors import WitnessVerificationError
 from .ranks import (
@@ -170,8 +170,12 @@ def _support_sum_bound(n: int, elems: list, sg: FiniteSemigroup) -> str:
 
 
 def verify_all(n: int, budget: SearchBudget | None = None) -> VerificationReport:
-    """Run the full battery for the given n; see module docstring."""
-    check_n(n)
+    """Run the full battery for the given n; see module docstring.
+
+    n >= 6 raises InvalidParameterError before anything is enumerated
+    (``check_table_n``).
+    """
+    check_table_n(n)
     budget = budget or SearchBudget()
     deadline = time.monotonic() + budget.seconds
     report = VerificationReport(n=n)

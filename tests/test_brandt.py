@@ -1,8 +1,16 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from brandt_ranks.brandt import bn_add, bn_elements, bn_index, bn_label
+from brandt_ranks.brandt import (
+    bn_add,
+    bn_elements,
+    bn_index,
+    bn_label,
+    bn_table,
+    brandt_semigroup,
+)
 from brandt_ranks.errors import InvalidParameterError
 
 
@@ -69,5 +77,14 @@ def test_semigroup_table(b2):
     assert b2.m == 5
     assert b2.labels[0] == "0"
     # zero row and column absorb
-    assert all(v == 0 for v in b2.rows[0])
-    assert all(row[0] == 0 for row in b2.rows)
+    rows = b2.table.tolist()
+    assert all(v == 0 for v in rows[0])
+    assert all(row[0] == 0 for row in rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bn_table_is_the_per_pair_table(n):
+    elems = bn_elements(n)
+    index = {x: i for i, x in enumerate(elems)}
+    assert bn_table(n) == [[index[bn_add(n, x, y)] for y in elems] for x in elems]
+    assert np.array_equal(brandt_semigroup(n).table, bn_table(n))

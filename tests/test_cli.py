@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from brandt_ranks import cli
+from brandt_ranks import cli, engine
 from brandt_ranks.cli import (
     EXIT_BUDGET,
     EXIT_MISMATCH,
@@ -136,6 +136,32 @@ def test_search_r4_closed_form_builds_no_table(capsys, monkeypatch):
     assert code == EXIT_OK
     r4 = json.loads(out)["ranks"]["r4"]
     assert (r4["value"], r4["provenance"]) == (25926, "formula")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rank", "--which", "r1"),
+        ("rank", "--which", "r2"),
+        ("rank", "--which", "r3"),
+        ("rank", "--which", "r5"),
+        ("prime",),
+        ("build",),
+        ("greens",),
+        ("verify",),
+    ],
+)
+def test_table_commands_refuse_n6_before_the_build(capsys, monkeypatch, argv):
+    # the n = 6 table takes 1.49 GB: a guard that let the build start would
+    # fail here instead of allocating it
+    def no_build(cls, *args, **kwargs):
+        raise AssertionError("started building a table")
+
+    monkeypatch.setattr(engine.FiniteSemigroup, "from_elements", classmethod(no_build))
+    code, out, err = invoke(capsys, argv[0], "--n", "6", *argv[1:])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: A+(B_6) has 27253 elements")
+    assert "rank --which formulas" in err
 
 
 def test_verify_n1(capsys):

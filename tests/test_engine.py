@@ -48,9 +48,16 @@ ONE = FiniteSemigroup(["e"], [[0]])
 # --- construction --------------------------------------------------------------
 
 
-def test_from_elements_b2(b2):
+def test_brandt_semigroup_b2_shape(b2):
     assert b2.m == 5
     assert b2.table.shape == (5, 5)
+
+
+def test_construction_keeps_only_the_table(ab2):
+    sg = FiniteSemigroup(ab2.labels, ab2.table, n=2)
+    assert not hasattr(sg, "rows")
+    assert "sums" not in sg.__dict__
+    assert sg.sums.rows == sg.table.tolist()
 
 
 def test_a_plus_semigroup_element_counts(ab2, ab3):
@@ -67,20 +74,24 @@ def _per_pair_rows(elements, add_fn):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_a_plus_table_equals_the_per_pair_table(n):
     rows = _per_pair_rows(enumerate_a_plus(n), functools.partial(add_maps, n))
-    assert a_plus_semigroup(n).rows == rows
+    assert a_plus_semigroup(n).table.tolist() == rows
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_brandt_table_equals_the_per_pair_table(n):
-    rows = _per_pair_rows(bn_elements(n), functools.partial(bn_add, n))
-    assert brandt_semigroup(n).rows == rows
+    # built by the column walk and checked by Light's test: a table with no
+    # representation
+    add = functools.partial(bn_add, n)
+    sg = FiniteSemigroup.from_elements(bn_elements(n), add)
+    assert sg.table.tolist() == _per_pair_rows(bn_elements(n), add)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_constants_table_equals_the_per_pair_table(n):
     consts = [e for e in enumerate_a_plus(n) if isinstance(e, (ConstZero, Const))]
     add = functools.partial(add_maps, n)
-    assert FiniteSemigroup.from_elements(consts, add).rows == _per_pair_rows(consts, add)
+    sg = FiniteSemigroup.from_elements(consts, add)
+    assert sg.table.tolist() == _per_pair_rows(consts, add)
 
 
 def _closure_greedy_generators(sg):
@@ -422,7 +433,7 @@ def test_a_plus_semigroup_builds_without_light_test(n, monkeypatch):
         raise AssertionError("Light's test ran")
 
     monkeypatch.setattr(engine, "_associativity_failure", refuse)
-    assert a_plus_semigroup.__wrapped__(n).rows == a_plus_semigroup(n).rows
+    assert a_plus_semigroup.__wrapped__(n) == a_plus_semigroup(n)
 
 
 def test_imported_and_brandt_tables_still_get_light_test(ab3, monkeypatch):
@@ -527,8 +538,8 @@ def _check_sums(sg):
     """``sg.sums`` reproduces the table: each (a, b) lies in exactly one
     fiber of row a and one of column b, the one of a + b, and each value
     mask is its line's set of values."""
-    sums, rows, m = sg.sums, sg.rows, sg.m
-    assert sums.rows is rows
+    sums, rows, m = sg.sums, sg.table.tolist(), sg.m
+    assert sums.rows == rows
     for a in range(m):
         row, col = rows[a], [rows[b][a] for b in range(m)]
         for line, values, fibers in (
@@ -605,14 +616,16 @@ def test_sums_build_peak_stays_far_below_the_table_size(ab4):
     k = engine._block_lines(ab4.m)
     assert ab4.m == 657 and 1 < k < 657 and 657 % k != 0
     # whole-table temporaries peaked at 14 MB here; blocks of lines keep the
-    # peak near the 2.7 MB that ``sums`` keeps
-    sg = FiniteSemigroup(ab4.labels, ab4.table, n=4)
+    # peak of the two passes that build the masks and fibers near the 2.7 MB
+    # they keep. ``sums`` then boxes the rows as Python lists, all of them
+    # kept, none temporary.
     tracemalloc.start()
     try:
-        sg.sums
+        passes = engine._line_fibers(ab4.table), engine._line_fibers(ab4.table.T)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert [len(values) for values, _ in passes] == [657, 657]
     assert peak < 6_000_000
 
 
@@ -635,17 +648,17 @@ def _extend_closure_oracle(rows, bits, elems, x):
 
 
 def _oracle_closure(sg, seed):
-    bits, elems = 0, []
+    bits, elems, rows = 0, [], sg.table.tolist()
     for x in seed:
-        bits = _extend_closure_oracle(sg.rows, bits, elems, x)
+        bits = _extend_closure_oracle(rows, bits, elems, x)
     return bits
 
 
-def _check_extend(sg, bits, x):
-    """Extend the closed set ``bits`` by x with the kernel, check it, and
-    return the result."""
+def _check_extend(sg, rows, bits, x):
+    """Extend the closed set ``bits`` by x with the kernel, check it against
+    the oracle on ``rows`` (``sg.table.tolist()``), and return the result."""
     got = extend_closure(sg.sums, bits, x)
-    assert got == _extend_closure_oracle(sg.rows, bits, list(engine.iter_bits(bits)), x)
+    assert got == _extend_closure_oracle(rows, bits, list(engine.iter_bits(bits)), x)
     return got
 
 
@@ -660,9 +673,10 @@ def test_extend_closure_matches_oracle_on_both_sides_of_the_scan_threshold(n, ki
     sizes = [bits.bit_count() for bits in starts]
     lines = [v.bit_count() for v in sg.sums.row_values + sg.sums.col_values]
     assert min(sizes) < max(lines) and sum(lines) / len(lines) < max(sizes) < sg.m
+    rows = sg.table.tolist()
     for bits in starts:
         for x in range(sg.m):
-            _check_extend(sg, bits, x)
+            _check_extend(sg, rows, bits, x)
 
 
 def _extensions(n, m, max_seed):
@@ -682,12 +696,12 @@ def _extensions(n, m, max_seed):
 
 
 def _run_extensions(sg, seed, steps):
-    bits = 0
+    bits, rows = 0, sg.table.tolist()
     for x in seed:
-        bits = _check_extend(sg, bits, x)
+        bits = _check_extend(sg, rows, bits, x)
     for x, roll_back in steps:
         before = bits
-        bits = _check_extend(sg, bits, x)
+        bits = _check_extend(sg, rows, bits, x)
         if roll_back:
             bits = before
 
@@ -955,6 +969,9 @@ def test_is_band(ab2, b2):
     assert not is_band(ab2)  # xi_(1,2) is not idempotent
     assert not is_band(b2)  # (1,2)+(1,2) = zero
     assert is_band(ONE)
+    # the left-zero band a + b = a and the semilattice a + b = max(a, b)
+    assert is_band(FiniteSemigroup("abc", [[0] * 3, [1] * 3, [2] * 3]))
+    assert is_band(FiniteSemigroup("abc", [[max(a, b) for b in range(3)] for a in range(3)]))
 
 
 def test_indecomposables(ab2, ab3):
@@ -968,7 +985,7 @@ def _indecomposables_oracle(sg):
     """The definition read pair by pair: c is decomposable iff some a + b = c
     with a != c and b != c."""
     decomposable = set()
-    for a, row in enumerate(sg.rows):
+    for a, row in enumerate(sg.table.tolist()):
         for b, c in enumerate(row):
             if c != a and c != b:
                 decomposable.add(c)
@@ -1012,7 +1029,7 @@ def test_prime_subset_complement_is_subsemigroup(ab3):
 
 def _is_prime_subset_oracle(sg, bits):
     """The definition read pair by pair: no two non-members add up to a member."""
-    for a, row in enumerate(sg.rows):
+    for a, row in enumerate(sg.table.tolist()):
         if bits >> a & 1:
             continue
         for b, c in enumerate(row):
@@ -1070,7 +1087,7 @@ def test_csv_quotes_comma_labels(ab2):
 
 def test_exported_zero_row(ab2):
     sg = import_table(export_table(ab2, "json"))
-    assert all(v == 0 for v in sg.rows[0])
+    assert all(v == 0 for v in sg.table.tolist()[0])
 
 
 def test_import_rejects_non_associative():

@@ -206,9 +206,10 @@ def test_first_factor_bounds(ab2, ab3):
 def _first_factor_per_pair(sg):
     """Reference loop: every pair (a, b) marks a as a first factor of a + b."""
     first = [1 << f for f in range(sg.m)]
+    rows = sg.table.tolist()
     for a in range(sg.m):
         for b in range(sg.m):
-            first[sg.rows[a][b]] |= 1 << a
+            first[rows[a][b]] |= 1 << a
     taken, picks = 0, []
     for f in sorted(range(sg.m), key=lambda f: (first[f].bit_count(), f)):
         if not first[f] & taken:
@@ -704,7 +705,7 @@ def test_violated_pair_is_the_first_in_pair_order(ab2, ab3, data):
     # random sets are rarely prime; small ones often are
     small = st.sets(st.integers(0, sg.m - 1), min_size=1, max_size=4)
     bits = data.draw(st.integers(1, (1 << sg.m) - 1) | small.map(lambda xs: sum(1 << i for i in xs)))
-    pairs = _pairs_into_reference(sg.rows, sg.m)
+    pairs = _pairs_into_reference(sg.table.tolist(), sg.m)
     expected = next(((a, b) for u in engine.iter_bits(bits) for a, b in pairs[u]
                      if not bits >> a & 1 and not bits >> b & 1), None)
     assert ranks._violated_pair(sg.sums.row_fibers, ranks._first_factors(sg), bits) == expected
@@ -809,7 +810,8 @@ def _sub_semigroup(sg, seed_indices):
     bits = closure_bits(sg.sums, sum(1 << i for i in seed_indices))
     idx = [i for i in range(sg.m) if bits >> i & 1]
     pos = {i: p for p, i in enumerate(idx)}
-    table = [[pos[sg.rows[a][b]] for b in idx] for a in idx]
+    rows = sg.table.tolist()
+    table = [[pos[rows[a][b]] for b in idx] for a in idx]
     return FiniteSemigroup([sg.labels[i] for i in idx], table)
 
 
@@ -840,7 +842,7 @@ def _max_independent_bruteforce(sg):
     member by the per-member loop: no ideal filter, no closure code from
     ``engine``.
     """
-    rows, m = sg.rows, sg.m
+    rows, m = sg.table.tolist(), sg.m
     closed = [0] * (1 << m)
     for bits in range(1, 1 << m):
         low = bits & -bits

@@ -7,7 +7,11 @@ from test_affine import support_size
 
 from brandt_ranks import engine, verify
 from brandt_ranks.affine import a_plus_semigroup, enumerate_a_plus
-from brandt_ranks.errors import ClosureViolationError, WitnessVerificationError
+from brandt_ranks.errors import (
+    ClosureViolationError,
+    InvalidParameterError,
+    WitnessVerificationError,
+)
 from brandt_ranks.ranks import PROV_BOUNDS, RANK_KEYS, RankValue, SearchBudget, plan_rank, rank_formulas
 from brandt_ranks.verify import _support_sum_bound, verify_all
 
@@ -29,7 +33,7 @@ def _first_violation(n, table):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_support_sum_bound_holds(n):
     sg = a_plus_semigroup(n)
-    assert _first_violation(n, sg.rows) is None
+    assert _first_violation(n, sg.table.tolist()) is None
     assert _support_sum_bound(n, enumerate_a_plus(n), sg) == (
         f"all {sg.m ** 2} pairs respect the support bound"
     )
@@ -131,3 +135,12 @@ def test_verify_checks_the_lower_bound_witness_of_r4_at_n_4():
     check = next(c for c in report.checks if c.name == "witness-I-independent")
     assert check.detail == "I independent, size 388"
     assert report.ranks.ranks["r4"].bounds == (388, 520)
+
+
+def test_verify_all_refuses_n6_before_it_enumerates(monkeypatch):
+    def no_enumeration(n):
+        raise AssertionError(f"enumerated A+(B_{n})")
+
+    monkeypatch.setattr(verify, "enumerate_a_plus", no_enumeration)
+    with pytest.raises(InvalidParameterError, match="rank --which formulas"):
+        verify_all(6)
