@@ -468,17 +468,24 @@ class FiniteSemigroup:
 # --- closure and generation ------------------------------------------------
 
 
-def extend_closure(sums: Sums, bits: int, x: int) -> int:
-    """The closure of the closed set ``bits`` with element ``x``, as a bitmask.
+def extend_closure(sums: Sums, bits: int, x: int, stop: int = -1) -> int:
+    """The closure of the closed set ``bits`` with element ``x``, as a bitmask,
+    or, once ``stop`` joins, a set that holds ``stop`` and may not be closed.
 
-    Each popped element a adds, on each side, the sums a + b (b + a) with b
-    in the set that are not in it yet. Of two ways to find them it takes the
-    shorter one, by sizes it already has: where the set has more members
-    than the row (column) of a has values, each value c not yet in the set
-    joins iff its fiber meets the set; otherwise the members b are scanned
-    through ``sums.rows``. A popped element is tested against every member
-    present at that time and a new one is pushed when it joins, so each pair
-    is tested when the later of its two elements is popped.
+    Since ``bits`` is closed, every new element is a sum (b + x) + g_1 + ...
+    + g_k with b in ``bits`` or absent and each g_i a member or x, so the
+    kernel adds right multiples only, as in the right Cayley walk of
+    Froidure & Pin (1997): first b + x for b in ``bits`` and x, read from
+    x's column, then, for each element popped as it joins, a + b for every
+    member b present at that time (the old members and x among them). Of
+    two ways to find the sums not yet in the set it takes the shorter one,
+    by sizes it already has: where the set has more members than the line
+    of a has values, each missing value c joins iff its fiber meets the
+    set; otherwise the members b are scanned through ``sums.rows``.
+
+    The result holds ``stop`` exactly when the closure does (for a stop in
+    ``bits`` or equal to x that closure is the result), and it is the
+    closure whenever it does not; the default -1 never joins.
     """
     if bits >> x & 1:
         return bits
@@ -487,6 +494,31 @@ def extend_closure(sums: Sums, bits: int, x: int) -> int:
     size = bits.bit_count()
     stack = [x]
     push = stack.append
+    fibers = col_fibers[x]
+    if len(fibers) > size:
+        scan = bits
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            c = rows[low.bit_length() - 1][x]
+            if not bits >> c & 1:
+                bits |= 1 << c
+                if c == stop:
+                    return bits
+                size += 1
+                push(c)
+    else:
+        new = col_values[x] & ~bits
+        while new:
+            low = new & -new
+            new ^= low
+            c = low.bit_length() - 1
+            if fibers[c] & bits:
+                bits |= low
+                if c == stop:
+                    return bits
+                size += 1
+                push(c)
     while stack:
         a = stack.pop()
         fibers = row_fibers[a]
@@ -499,6 +531,8 @@ def extend_closure(sums: Sums, bits: int, x: int) -> int:
                 c = row[low.bit_length() - 1]
                 if not bits >> c & 1:
                     bits |= 1 << c
+                    if c == stop:
+                        return bits
                     size += 1
                     push(c)
         else:
@@ -509,27 +543,8 @@ def extend_closure(sums: Sums, bits: int, x: int) -> int:
                 c = low.bit_length() - 1
                 if fibers[c] & bits:
                     bits |= low
-                    size += 1
-                    push(c)
-        fibers = col_fibers[a]
-        if len(fibers) > size:
-            scan = bits
-            while scan:
-                low = scan & -scan
-                scan ^= low
-                c = rows[low.bit_length() - 1][a]
-                if not bits >> c & 1:
-                    bits |= 1 << c
-                    size += 1
-                    push(c)
-        else:
-            new = col_values[a] & ~bits
-            while new:
-                low = new & -new
-                new ^= low
-                c = low.bit_length() - 1
-                if fibers[c] & bits:
-                    bits |= low
+                    if c == stop:
+                        return bits
                     size += 1
                     push(c)
     return bits
@@ -575,20 +590,26 @@ def independent_bits(sums: Sums, ideals: list[int], bits: int) -> bool:
 
     A sum g_1 + ... + g_k lies in the principal ideal S¹g_iS¹ of every term
     (Clifford & Preston I, 2.1), so a member c is generated by the others
-    iff it is generated by those whose ideal (``ideals``, as in
-    ``FiniteSemigroup.ideals``) holds c. Each member is therefore tested
-    against the closure of only those members, which stops as soon as c
-    appears. For the 388-element witness I at n = 4 this skips most of the
-    other members.
+    iff it is generated by its up-set, the other members whose ideal
+    (``ideals``, as in ``FiniteSemigroup.ideals``) holds c. One pass over
+    the members' ideals collects every up-set; each member c is then tested
+    against the closure of its up-set, folded in ascending order with c as
+    the kernel's ``stop``, so it ends as soon as c appears. For the
+    388-element witness I at n = 4 the up-sets hold 2,700 members in all.
     """
-    gens = list(iter_bits(bits))
-    for c in gens:
+    up = [0] * len(ideals)
+    for g in iter_bits(bits):
+        held = ideals[g] & bits & ~(1 << g)
+        while held:
+            low = held & -held
+            held ^= low
+            up[low.bit_length() - 1] |= 1 << g
+    for c in iter_bits(bits):
         closed = 0
-        for g in gens:
-            if g != c and ideals[g] >> c & 1:
-                closed = extend_closure(sums, closed, g)
-                if closed >> c & 1:
-                    return False
+        for g in iter_bits(up[c]):
+            closed = extend_closure(sums, closed, g, c)
+            if closed >> c & 1:
+                return False
     return True
 
 

@@ -654,12 +654,29 @@ def _oracle_closure(sg, seed):
     return bits
 
 
-def _check_extend(sg, rows, bits, x):
+def _check_extend(sg, rows, bits, x, stop=-1):
     """Extend the closed set ``bits`` by x with the kernel, check it against
-    the oracle on ``rows`` (``sg.table.tolist()``), and return the result."""
-    got = extend_closure(sg.sums, bits, x)
-    assert got == _extend_closure_oracle(rows, bits, list(engine.iter_bits(bits)), x)
-    return got
+    the two-sided oracle on ``rows`` (``sg.table.tolist()``), and return the
+    closure.
+
+    The kernel is also run with ``stop`` and with one element the extension
+    adds as ``stop`` (the one at ``stop`` modulo their number): its set lies
+    between ``bits`` with x and the closure, holds the stop exactly when the
+    closure does, and is the closure whenever it does not.
+    """
+    want = _extend_closure_oracle(rows, bits, list(engine.iter_bits(bits)), x)
+    assert extend_closure(sg.sums, bits, x) == want
+    stops = [stop]
+    if added := list(engine.iter_bits(want & ~bits & ~(1 << x))):
+        stops.append(added[stop % len(added)])
+    for s in stops:
+        got = extend_closure(sg.sums, bits, x, s)
+        assert got & (bits | 1 << x) == bits | 1 << x and got & ~want == 0
+        if s >= 0 and want >> s & 1:
+            assert got >> s & 1
+        else:
+            assert got == want
+    return want
 
 
 @pytest.mark.parametrize("n, kinds", [(2, ("S", "I")), (3, ("S", "T"))])
@@ -680,7 +697,8 @@ def test_extend_closure_matches_oracle_on_both_sides_of_the_scan_threshold(n, ki
 
 
 def _extensions(n, m, max_seed):
-    """A seed, then extension steps (element, whether to roll the step back).
+    """A seed, then extension steps (element, whether to roll the step back,
+    the kernel's ``stop``, -1 for none).
 
     Random elements mostly generate small closed sets; seeds drawn from the
     independent witness I also reach large ones.
@@ -691,7 +709,11 @@ def _extensions(n, m, max_seed):
     )
     return st.tuples(
         seed,
-        st.lists(st.tuples(st.integers(0, m - 1), st.booleans()), min_size=1, max_size=6),
+        st.lists(
+            st.tuples(st.integers(0, m - 1), st.booleans(), st.integers(-1, m - 1)),
+            min_size=1,
+            max_size=6,
+        ),
     )
 
 
@@ -699,9 +721,9 @@ def _run_extensions(sg, seed, steps):
     bits, rows = 0, sg.table.tolist()
     for x in seed:
         bits = _check_extend(sg, rows, bits, x)
-    for x, roll_back in steps:
+    for x, roll_back, stop in steps:
         before = bits
-        bits = _check_extend(sg, rows, bits, x)
+        bits = _check_extend(sg, rows, bits, x, stop)
         if roll_back:
             bits = before
 
@@ -756,12 +778,25 @@ def test_independent_rejects_empty(ab2):
 
 
 def _independent_oracle(sg, subset):
-    """The per-member definition: one full closure of the others per member."""
-    bits = engine._coerce_bits(sg, subset)
+    """The leave-one-out definition: no member lies in the two-sided oracle
+    closure of all the other members."""
+    members = sorted(set(subset))
     return all(
-        not closure_bits(sg.sums, bits & ~(1 << a)) >> a & 1
-        for a in engine.iter_bits(bits)
+        not _oracle_closure(sg, [g for g in members if g != a]) >> a & 1 for a in members
     )
+
+
+@pytest.mark.parametrize(
+    "n, kind", [(2, "I"), (2, "P2"), (2, "SprimeUnionT"), (3, "I"), (3, "SprimeUnionT")]
+)
+def test_independence_of_the_witnesses_matches_leave_one_out_oracle(n, kind, request):
+    sg = request.getfixturevalue(f"ab{n}")
+    witness = construct_witness(n, kind)
+    assert is_independent(sg, witness) and _independent_oracle(sg, witness)
+    # any element the witness generates makes it dependent
+    extra = next(iter(set(closure(sg, witness)) - set(witness)))
+    dependent = witness + (extra,)
+    assert not is_independent(sg, dependent) and not _independent_oracle(sg, dependent)
 
 
 def _witness_plus_extras(n, m):
