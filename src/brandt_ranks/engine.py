@@ -558,17 +558,22 @@ def closure_bits(sums: Sums, seed_bits: int) -> int:
     return bits
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an int; a bool or a non-integer raises InvalidParameterError."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{what} {value!r} is not an integer") from None
+
+
 def _coerce_bits(sg: FiniteSemigroup, subset) -> int:
     """Bitmask of an iterable of element indices; each must be an integer
     (not a bool) in [0, m)."""
     bits = 0
     for i in subset:
-        try:
-            if isinstance(i, (bool, np.bool_)):
-                raise TypeError
-            k = operator.index(i)
-        except TypeError:
-            raise InvalidParameterError(f"index {i!r} is not an integer") from None
+        k = _as_int(i, "index")
         if not 0 <= k < sg.m:
             raise InvalidParameterError(f"index {k} out of range [0, {sg.m})")
         bits |= 1 << k

@@ -57,8 +57,10 @@ class SearchBudget:
     OVERSHOOT_MARGIN_S = 1.0
 
     def __post_init__(self):
-        # NaN compares False with everything, so its deadline would never pass
-        if not (isfinite(self.seconds) and self.seconds > 0) or self.node_limit <= 0:
+        # NaN compares False with everything, so its deadline would never pass;
+        # a node limit of 2.5 would run 3 nodes, and True is no count
+        if (not (isfinite(self.seconds) and self.seconds > 0)
+                or engine._as_int(self.node_limit, "node limit") <= 0):
             raise InvalidParameterError("budget limits must be finite and positive")
 
 
@@ -560,6 +562,14 @@ def upper_rank_search(
     Each include passes its child a copy of ``minus_bits`` with the touched
     slots replaced, and the new closure and bitmask of the chosen set, so
     the way back restores nothing.
+
+    An include is lazy: the child of x is bounded by |chosen| + 1 plus its
+    candidates before it is built, first on ``cand & comp[x]`` (a superset
+    of them) before x's test, then, once x is accepted, with the new
+    closure taken out. A child that fails would return at its first bound
+    check without spending a node, and as |chosen| + 1 <= best_size it
+    could not replace the incumbent; so it is skipped with its test and
+    closure, and the tree, the nodes and the result do not change.
     """
     clock = _Clock(budget)
     sums, ideals = sg.sums, sg.ideals
@@ -579,7 +589,8 @@ def upper_rank_search(
     best: tuple[int, ...] = ()
     if seed is not None:
         best = tuple(iter_bits(engine._coerce_bits(sg, seed)))
-        if not engine.is_independent(sg, best):
+        # an empty seed is the empty independent set: no incumbent, as None
+        if best and not engine.is_independent(sg, best):
             raise WitnessVerificationError("seed witness is not independent")
         best_size = len(best)
     verified = best_size
@@ -603,6 +614,11 @@ def upper_rank_search(
                 return
             x = (cand & -cand).bit_length() - 1
             cand &= ~(1 << x)
+            # rest holds the candidates of x's child; a child that fails its
+            # bound would return before spending a node or replacing best
+            rest = cand & comp[x]
+            if len(chosen) + 1 + rest.bit_count() <= best_size:
+                continue
 
             # x is no factor of any sum equal to a c outside its ideal
             reach = ideals[x] & chosen_bits
@@ -617,15 +633,18 @@ def upper_rank_search(
                 if nb >> c & 1:
                     break
             else:  # no chosen member is generated by the others with x
+                new_all = extend_closure(sums, all_bits, x)
+                rest &= ~new_all
+                if len(chosen) + 1 + rest.bit_count() <= best_size:
+                    continue
                 new_minus = minus_bits[:]
                 for r, nb in touched:
                     new_minus[r] = nb
                 # x's own leave-one-out closure is the closure of chosen
                 new_minus.append(all_bits)
-                new_all = extend_closure(sums, all_bits, x)
                 slot[x] = len(chosen)
                 chosen.append(x)
-                rec(cand & comp[x] & ~new_all, new_minus, new_all, chosen_bits | 1 << x)
+                rec(rest, new_minus, new_all, chosen_bits | 1 << x)
                 chosen.pop()
 
     rec(full_mask, [], 0, 0)

@@ -105,6 +105,13 @@ def test_search_budget_rejects_limits_that_never_or_always_stop(seconds, node_li
         SearchBudget(seconds=seconds, node_limit=node_limit)
 
 
+@pytest.mark.parametrize("node_limit", [True, 2.5, "3", None])
+def test_search_budget_rejects_a_node_limit_that_is_no_integer(node_limit):
+    # a limit of 2.5 would run 3 nodes, and True would pass as 1
+    with pytest.raises(InvalidParameterError, match="not an integer"):
+        SearchBudget(node_limit=node_limit)
+
+
 def test_rank_value_validation():
     with pytest.raises(InvalidParameterError):
         RankValue()
@@ -530,7 +537,7 @@ def test_upper_rank_extension_sequence_n2(ab2, monkeypatch):
     counts = _count_search_work(monkeypatch)
     rv = upper_rank_search(ab2, BIG, seed=construct_witness(2, "P2"))
     assert rv.exact and rv.value == 14
-    assert counts == {"extensions": 83_910, "nodes": 50_255}
+    assert counts == {"extensions": 66_286, "nodes": 50_255}
 
 
 def test_upper_rank_extension_sequence_n3(ab3, monkeypatch):
@@ -538,7 +545,7 @@ def test_upper_rank_extension_sequence_n3(ab3, monkeypatch):
     counts = _count_search_work(monkeypatch)
     rv = upper_rank_search(ab3, SearchBudget(seconds=600, node_limit=8_000),
                            seed=construct_witness(3, "I"))
-    assert counts == {"extensions": 10_924, "nodes": 8_000}
+    assert counts == {"extensions": 8_560, "nodes": 8_000}
     assert rv.bounds == (57, 145)
     golden = json.loads((Path(__file__).parent / "golden" / "search-r4-n3-8000.json")
                         .read_text(encoding="utf-8"))
@@ -561,6 +568,13 @@ def test_upper_rank_reads_a_one_shot_seed_once(ab2):
     seed = construct_witness(2, "P2")
     rv = upper_rank_search(ab2, budget, seed=iter(seed))
     assert rv.bounds == (14, 29) and rv.witness == seed
+
+
+def test_upper_rank_empty_seed_is_no_incumbent():
+    # the empty set is independent; it primes nothing, as no seed at all
+    cb3 = constants_semigroup(3)
+    a, b = upper_rank_search(cb3, BIG, seed=[]), upper_rank_search(cb3, BIG)
+    assert a.value == 5 and (a.value, a.witness) == (b.value, b.witness)
 
 
 def test_upper_rank_rejects_bad_seed(ab2):
@@ -866,8 +880,8 @@ def _max_independent_bruteforce(sg):
 
 
 @st.composite
-def _b2_subsemigroups(draw, ab2):
-    sub = _sub_semigroup(ab2, draw(st.sets(st.integers(0, 28), min_size=1, max_size=4)))
+def _b2_subsemigroups(draw, ab2, max_gens=4):
+    sub = _sub_semigroup(ab2, draw(st.sets(st.integers(0, 28), min_size=1, max_size=max_gens)))
     assume(sub.m <= 12)
     return sub
 
@@ -885,6 +899,20 @@ def test_upper_rank_search_matches_brute_force(ab2, data):
     sg = data.draw(_small_semigroups(ab2))
     rv = upper_rank_search(sg, BIG)
     assert rv.value == _max_independent_bruteforce(sg) == len(rv.witness)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_upper_rank_search_is_exact_from_any_seed(ab2, data):
+    # a child is skipped unbuilt only when its bound already fails, so the
+    # value is the largest independent subset with or without an incumbent
+    sg = data.draw(_b2_subsemigroups(ab2, max_gens=5))
+    independent = [bits for bits in range(1, 1 << sg.m)
+                   if engine.independent_bits(sg.sums, sg.ideals, bits)]
+    best = max(bits.bit_count() for bits in independent)
+    seed = tuple(engine.iter_bits(data.draw(st.sampled_from(independent))))
+    assert upper_rank_search(sg, BIG).value == best
+    assert upper_rank_search(sg, BIG, seed=seed).value == best
 
 
 @settings(max_examples=100, deadline=None)
