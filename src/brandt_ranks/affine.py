@@ -7,15 +7,20 @@ Arguments are written on the left: ``map_table(n, f)``, the one description
 of what f does, holds x f at the canonical B_n index of x. Equality of
 elements is field-wise; the brute-force oracles at the end work on plain
 value tables instead.
+
+Elements are ``NamedTuple`` records, so building, hashing and comparing
+them runs in C, as the table build's m * |G| sums and lookups need. The
+four shapes have 0, 1, 4 and 3 fields, so elements of different shapes
+never compare equal. Being tuples, ``ConstZero()`` is falsy: no code may
+test an element's truth value.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
-from typing import TypeAlias
+from typing import NamedTuple, TypeAlias
 
 from .brandt import BnElement, bn_add, bn_elements, bn_index, bn_table, check_n
 from .engine import FiniteSemigroup
@@ -24,20 +29,17 @@ from .errors import CapabilityError, InvalidParameterError
 Permutation: TypeAlias = "tuple[int, ...]"
 
 
-@dataclass(frozen=True, slots=True)
-class ConstZero:
+class ConstZero(NamedTuple):
     """The map sending every argument to the zero of B_n."""
 
 
-@dataclass(frozen=True, slots=True)
-class Const:
+class Const(NamedTuple):
     """The constant map onto the nonzero pair ``c``."""
 
     c: tuple[int, int]
 
 
-@dataclass(frozen=True, slots=True)
-class Singleton:
+class Singleton(NamedTuple):
     """The map sending (k, l) to (p, q) and everything else to zero."""
 
     k: int
@@ -46,8 +48,7 @@ class Singleton:
     q: int
 
 
-@dataclass(frozen=True, slots=True)
-class NSupport:
+class NSupport(NamedTuple):
     """The map (p, q; sigma): (i, p) goes to (sigma[i], q), all else to zero."""
 
     p: int
@@ -257,9 +258,11 @@ def a_plus_semigroup(n: int) -> FiniteSemigroup:
     check_table_n(n)
     elems = enumerate_a_plus(n)
     values = [[bn_index(n, x) for x in map_table(n, f)] for f in elems]
+    # the partial is made per build, not at import, so it calls whatever
+    # ``add_maps`` is bound to now (perfbench's tracer rebinds it)
     return FiniteSemigroup.from_elements(
         elems,
-        lambda f, g: add_maps(n, f, g),
+        partial(add_maps, n),
         labels=[map_label(f) for f in elems],
         n=n,
         representation=(values, bn_table(n)),

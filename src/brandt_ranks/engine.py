@@ -725,6 +725,9 @@ def import_table(data: bytes | str) -> FiniteSemigroup:
         table = payload["table"]
         if not isinstance(labels, list) or not isinstance(table, list):
             raise TableParseError("'labels' and 'table' must be lists")
+        # numpy would read true and false as 1 and 0
+        if any(isinstance(x, bool) for row in table if isinstance(row, list) for x in row):
+            raise TableParseError("'table' entries must be integers, not true or false")
         return FiniteSemigroup(labels, table, n=n)
     try:
         rows = [row for row in csv.reader(io.StringIO(text)) if row]

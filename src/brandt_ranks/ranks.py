@@ -14,6 +14,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from math import comb, factorial, isfinite
+from numbers import Real
 
 from . import engine
 from .affine import (
@@ -58,8 +59,14 @@ class SearchBudget:
 
     def __post_init__(self):
         # NaN compares False with everything, so its deadline would never pass;
-        # a node limit of 2.5 would run 3 nodes, and True is no count
-        if (not (isfinite(self.seconds) and self.seconds > 0)
+        # a node limit of 2.5 would run 3 nodes, and True is no count or time
+        if isinstance(self.seconds, bool) or not isinstance(self.seconds, Real):
+            raise InvalidParameterError(f"budget seconds {self.seconds!r} is not a number")
+        try:
+            finite = isfinite(self.seconds)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if (not (finite and self.seconds > 0)
                 or engine._as_int(self.node_limit, "node limit") <= 0):
             raise InvalidParameterError("budget limits must be finite and positive")
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from brandt_ranks.affine import (
     Const,
     NSupport,
     Singleton,
+    a_plus_semigroup,
     a_plus_size,
     add_maps,
     affine_closure_oracle,
@@ -247,6 +250,55 @@ def test_canonical_equality_iff_table_equality(n):
     elems = enumerate_a_plus(n)
     tables = [map_table(n, f) for f in elems]
     assert len(set(tables)) == len(elems)
+
+
+# --- the element records --------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_elements_of_different_shapes_never_compare_equal(n):
+    elems = enumerate_a_plus(n)
+    for f in elems:
+        for g in elems:
+            if type(f) is not type(g):
+                assert f != g
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_elements_hash_apart(n):
+    assert len(set(enumerate_a_plus(n))) == a_plus_size(n)
+
+
+@pytest.mark.parametrize(
+    "f, field",
+    [(Const((0, 1)), "c"), (Singleton(0, 1, 0, 1), "k"), (NSupport(0, 1, SWAP2), "sigma")],
+)
+def test_elements_are_immutable(f, field):
+    with pytest.raises(AttributeError):
+        setattr(f, field, 0)
+
+
+def test_element_reprs():
+    assert repr(CONST_ZERO) == "ConstZero()"
+    assert repr(Const((0, 1))) == "Const(c=(0, 1))"
+    assert repr(Singleton(0, 1, 0, 1)) == "Singleton(k=0, l=1, p=0, q=1)"
+    assert repr(NSupport(0, 1, SWAP2)) == "NSupport(p=0, q=1, sigma=(1, 0))"
+
+
+# sha256 of each table's int16 little-endian bytes: a change to how elements
+# are represented or summed must leave every table byte as it is
+TABLE_SHA256 = {
+    1: "37dd8cf98200c800d3cdde6e65d7d0718b4da057094f16c04ec724c3292f0956",
+    2: "ebd4f8b893a9233302d5e73afcae1920dc85596f637d392d039a08e0014513a5",
+    3: "ca1faeadb3779c87a570966ca9d439650332e6fda2761819e75e98adfd63b0f5",
+    4: "29e6646d14dc6ee8fd8c5b8fa8ec6ed99da9f52b30a6dd10549b4d752da8ebc9",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TABLE_SHA256))
+def test_table_bytes_are_pinned(n):
+    table = a_plus_semigroup(n).table
+    assert hashlib.sha256(table.astype("<i2").tobytes()).hexdigest() == TABLE_SHA256[n]
 
 
 def test_labels():

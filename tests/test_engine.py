@@ -1153,6 +1153,18 @@ def test_import_rejects_bool_n():
         import_table('{"n": true, "labels": ["a"], "table": [[0]]}')
 
 
+@pytest.mark.parametrize(
+    "labels, table",
+    [('["a", "b"]', "[[0, true], [true, true]]"), ('["a", "b"]', "[[false, 1], [1, 1]]"),
+     ('["a"]', "[[true]]")],
+    ids=["true", "false", "bool-only"],
+)
+def test_import_rejects_bool_table_entries(labels, table):
+    # numpy would read true and false as 1 and 0, and both 2 x 2 tables would pass
+    with pytest.raises(TableParseError, match="not true or false"):
+        import_table(f'{{"labels": {labels}, "table": {table}}}')
+
+
 BIG = 2**32  # wraps to 0 when narrowed to int16 or int32
 
 

@@ -1,8 +1,10 @@
 import itertools
 import json
+from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -96,8 +98,8 @@ def test_formulas_reject_zero():
 
 @pytest.mark.parametrize(
     "seconds, node_limit",
-    [(0.0, 1), (-1.0, 1), (float("nan"), 1), (float("inf"), 1), (1.0, 0)],
-    ids=["zero", "negative", "nan", "inf", "no-nodes"],
+    [(0.0, 1), (-1.0, 1), (float("nan"), 1), (float("inf"), 1), (10**400, 1), (1.0, 0)],
+    ids=["zero", "negative", "nan", "inf", "past-float", "no-nodes"],
 )
 def test_search_budget_rejects_limits_that_never_or_always_stop(seconds, node_limit):
     # a NaN deadline compares False with every time, so it would never pass
@@ -110,6 +112,18 @@ def test_search_budget_rejects_a_node_limit_that_is_no_integer(node_limit):
     # a limit of 2.5 would run 3 nodes, and True would pass as 1
     with pytest.raises(InvalidParameterError, match="not an integer"):
         SearchBudget(node_limit=node_limit)
+
+
+@pytest.mark.parametrize("seconds", [True, "3", None, 1j])
+def test_search_budget_rejects_seconds_that_are_no_number(seconds):
+    # True would pass as one second
+    with pytest.raises(InvalidParameterError, match="not a number"):
+        SearchBudget(seconds=seconds)
+
+
+@pytest.mark.parametrize("seconds", [1, 0.5, Fraction(1, 2), np.float64(2.0), np.int64(3)])
+def test_search_budget_accepts_real_seconds(seconds):
+    assert SearchBudget(seconds=seconds).seconds == seconds
 
 
 def test_rank_value_validation():
