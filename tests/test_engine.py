@@ -57,7 +57,37 @@ def test_construction_keeps_only_the_table(ab2):
     sg = FiniteSemigroup(ab2.labels, ab2.table, n=2)
     assert not hasattr(sg, "rows")
     assert "sums" not in sg.__dict__
-    assert sg.sums.rows == sg.table.tolist()
+    assert [list(row) for row in sg.sums.rows] == sg.table.tolist()
+
+
+def test_sums_rows_view_the_table_without_a_copy(ab3):
+    kept = np.array(ab3.table)  # C-contiguous int16, so kept as given
+    sg = FiniteSemigroup(ab3.labels, kept)
+    assert sg.table is kept
+    rows = sg.sums.rows
+    assert len(rows) == sg.m
+    for a, row in enumerate(rows):
+        assert isinstance(row, memoryview) and row.readonly
+        assert (row.format, row.ndim, len(row)) == ("h", 1, sg.m)
+        assert row.obj is kept
+        # row a starts at the address of the table's row a: a view, no copy
+        assert np.frombuffer(row, dtype=np.int16).ctypes.data == kept[a].ctypes.data
+    with pytest.raises(TypeError):
+        rows[0][0] = 1
+
+
+def test_transposed_table_gives_the_semigroup_of_its_contiguous_copy(ab3):
+    transposed = ab3.table.T
+    assert not transposed.flags.c_contiguous
+    sg = FiniteSemigroup(ab3.labels, transposed)
+    copy = FiniteSemigroup(ab3.labels, np.ascontiguousarray(transposed))
+    assert sg.table.flags.c_contiguous and np.array_equal(sg.table, transposed)
+    assert [list(row) for row in sg.sums.rows] == transposed.tolist()
+    for side in ("R", "L"):
+        assert greens_classes(sg, side) == greens_classes(copy, side)
+    for a in range(sg.m):
+        seed = [a, (37 * a + 11) % sg.m]
+        assert closure(sg, seed) == closure(copy, seed)
 
 
 def test_a_plus_semigroup_element_counts(ab2, ab3):
@@ -162,6 +192,24 @@ def test_int16_table_is_kept_and_wider_tables_are_narrowed():
         assert sg.table.dtype == np.int16 and sg.table.tolist() == cyclic
         assert wide.flags.writeable
     assert FiniteSemigroup(labels, cyclic).table.dtype == np.int16
+
+
+@pytest.mark.parametrize(
+    "labels, table",
+    [
+        (["a", "b"], [[0, True], [True, True]]),
+        (["a", "b"], [[False, 1], [1, 1]]),
+        (["a", "b"], [[0, 1], [1, np.True_]]),
+        (["a", "b"], [[False, True], [True, True]]),
+        (["a"], [[True]]),
+        (["a", "b"], np.array([[0, 1], [1, 1]], dtype=bool)),
+    ],
+    ids=["true", "false", "numpy-true", "all-bool", "one-bool", "bool-array"],
+)
+def test_bool_table_entries_refused(labels, table):
+    # numpy would read True and False as 1 and 0, and every table would pass
+    with pytest.raises(TableValidationError, match="must be integers"):
+        FiniteSemigroup(labels, table)
 
 
 class _Untouchable:
@@ -539,7 +587,7 @@ def _check_sums(sg):
     fiber of row a and one of column b, the one of a + b, and each value
     mask is its line's set of values."""
     sums, rows, m = sg.sums, sg.table.tolist(), sg.m
-    assert sums.rows == rows
+    assert [list(row) for row in sums.rows] == rows
     for a in range(m):
         row, col = rows[a], [rows[b][a] for b in range(m)]
         for line, values, fibers in (

@@ -52,6 +52,22 @@ def test_support_sum_bound_reports_first_failing_pair():
     assert f == enumerate_a_plus(2)[4]
 
 
+@pytest.mark.parametrize("row", [0, 656])
+def test_support_sum_bound_names_a_violation_in_any_block(row):
+    elems, table = enumerate_a_plus(4), a_plus_semigroup(4).table.copy()
+    assert _support_sum_bound(4, elems, types.SimpleNamespace(table=table)).startswith("all ")
+    # 99 rows per block: row 656 lies in the last, short block, at 62
+    assert engine._block_lines(len(elems)) == 99
+    sizes = [support_size(4, e) for e in elems]
+    big = sizes.index(max(sizes))
+    col = max(j for j, size in enumerate(sizes) if size < sizes[big])
+    assert sizes[row] < sizes[big]
+    table[row, col] = big
+    with pytest.raises(WitnessVerificationError) as err:
+        _support_sum_bound(4, elems, types.SimpleNamespace(table=table))
+    assert str(err.value) == f"support bound fails for {elems[row]!r} + {elems[col]!r}"
+
+
 def _untimed(rv):
     return dataclasses.replace(rv, elapsed_ms=0.0)
 
