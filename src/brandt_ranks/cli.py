@@ -1,11 +1,11 @@
 """Command-line front end: build/export tables, Green's analyses, ranks, verification.
 
 Exit codes: 0 success / all verified, 1 verification mismatch, 2 invalid
-arguments (n >= 6 for a command that needs the table), 3 budget exhausted
-(bounds emitted). ``verify`` never exits 3: a closed-form rank (r1, r2, r3,
-r5) that the budget cuts short is a mismatch, exit 1, while an r4 search cut
-short passes. The default search budget is ``SearchBudget``'s: 60 seconds
-and 1e8 nodes.
+arguments (n > ``_MAX_N``, or n >= 6 for a command that needs the table),
+3 budget exhausted (bounds emitted). ``verify`` never exits 3: a
+closed-form rank (r1, r2, r3, r5) that the budget cuts short is a mismatch,
+exit 1, while an r4 search cut short passes. The default search budget is
+``SearchBudget``'s: 60 seconds and 1e8 nodes.
 """
 
 from __future__ import annotations
@@ -38,6 +38,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# The largest --n accepted. The closed forms of ``count`` and ``rank
+# --which formulas`` reach 4,281 digits at n = 1,550, and Python refuses to
+# print an int of more than 4,300 digits (after computing factorial(n)).
+_MAX_N = 1000
+
+
+def _bounded_n(text: str) -> int:
+    value = _positive_int(text)
+    if value > _MAX_N:
+        raise argparse.ArgumentTypeError(f"value must be <= {_MAX_N}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     try:
         value = float(text)
@@ -62,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, budget=False, fmt=None):
-        p.add_argument("--n", type=_positive_int, required=True, metavar="N")
+        p.add_argument("--n", type=_bounded_n, required=True, metavar="N")
         # also accepted after the subcommand; with no default of its own, the
         # subparser cannot overwrite a -v given before the subcommand
         p.add_argument("-v", "--verbose", action="count", default=argparse.SUPPRESS,

@@ -264,13 +264,15 @@ class Sums(NamedTuple):
     ``row_values[a]`` is the bitmask of a + S and ``col_values[a]`` that of
     S + a. ``row_fibers[a]`` maps each value c of a + S to the bitmask of the
     b with a + b = c, and ``col_fibers[a]`` each value c of S + a to that of
-    the b with b + a = c. ``rows[a]`` is row a of the table as a read-only
-    int16 memoryview into the table's own buffer (``rows[a][b] = a + b``),
-    for the kernel's member scans: indexing one gives a plain int, as a list
-    would, and no second copy of the table is kept.
+    the b with b + a = c. ``rows[a]`` and ``cols[a]`` are row and column a
+    of the table as read-only int16 memoryviews into the table's own buffer
+    (``rows[a][b] = a + b``, ``cols[b][a] = a + b``), for the kernel's
+    member scans: indexing one gives a plain int, as a list would, and no
+    second copy of the table is kept.
     """
 
     rows: list[memoryview]
+    cols: list[memoryview]
     row_values: list[int]
     col_values: list[int]
     row_fibers: list[dict[int, int]]
@@ -296,7 +298,7 @@ class FiniteSemigroup:
 
     Construction validates and stores the table, nothing more: ``sums``,
     which groups each row and column by value for the closure kernel and
-    views its rows, is built on first use. Instances are immutable after
+    views its lines, is built on first use. Instances are immutable after
     construction. ``table`` is a C-contiguous int16 array, so a table holds
     at most ``_MAX_ELEMENTS`` = 32,768 elements; a C-contiguous int16 array
     given as ``table`` is kept without a copy and made read-only, and any
@@ -332,7 +334,7 @@ class FiniteSemigroup:
         # range-check before narrowing, so no entry can wrap into range
         if int(arr.min()) < 0 or int(arr.max()) >= m:
             raise TableValidationError("table entries must be element indices in [0, m)")
-        # one C-order layout for every reader; ``sums`` views its rows
+        # one C-order layout for every reader; ``sums`` views its lines
         arr = np.ascontiguousarray(arr, dtype=np.int16)
         if representation is not None:
             _check_representation(labels, arr, *representation)
@@ -358,17 +360,18 @@ class FiniteSemigroup:
         skip it. The masks and fibers come from two numpy passes, a block of
         lines at a time (about 30-45 ms for both sides at n = 4 on a 2-vCPU
         VM, with a tracemalloc peak of about 4.4 MB, of which 2.7 MB is
-        kept). The rows are m slices of one flat int16 view of the table:
-        0.13 MB of view objects at n = 4 and 0.7 MB at n = 5, built in
-        about 1 ms. Boxed row lists took 3.7 MB and 4 ms at n = 4, and
-        133 MB and 0.3 s at n = 5.
+        kept). The rows and the columns are m plain and m strided slices of
+        one flat int16 view of the table: about 0.13 MB of view objects per
+        side at n = 4 and 0.7 MB at n = 5, built in about 1 ms. Boxed row
+        lists took 3.7 MB and 4 ms at n = 4, and 133 MB and 0.3 s at n = 5.
         """
         m, table = self.m, self.table
         row_values, row_fibers = _line_fibers(table)
         col_values, col_fibers = _line_fibers(table.T)
         flat = memoryview(table).cast("B").cast("h")
         rows = [flat[a : a + m] for a in range(0, m * m, m)]
-        return Sums(rows, row_values, col_values, row_fibers, col_fibers)
+        cols = [flat[b::m] for b in range(m)]
+        return Sums(rows, cols, row_values, col_values, row_fibers, col_fibers)
 
     @functools.cached_property
     def ideals(self) -> list[int]:
@@ -500,13 +503,13 @@ def extend_closure(sums: Sums, bits: int, x: int, stop: int = -1) -> int:
     Since ``bits`` is closed, every new element is a sum (b + x) + g_1 + ...
     + g_k with b in ``bits`` or absent and each g_i a member or x, so the
     kernel adds right multiples only, as in the right Cayley walk of
-    Froidure & Pin (1997): first b + x for b in ``bits`` and x, read from
-    x's column, then, for each element popped as it joins, a + b for every
-    member b present at that time (the old members and x among them). Of
-    two ways to find the sums not yet in the set it takes the shorter one,
-    by sizes it already has: where the set has more members than the line
-    of a has values, each missing value c joins iff its fiber meets the
-    set; otherwise the members b are scanned through ``sums.rows``.
+    Froidure & Pin (1997): the line of sums it absorbs is first x's column
+    (b + x for b in ``bits`` and x), then the row of each element popped as
+    it joins (a + b for every member b present at that time). Each line is
+    absorbed the shorter of two ways, by sizes it already has: where the
+    set has more members than the line has values, each missing value c
+    joins iff its fiber meets the set; otherwise the line is read at every
+    member.
 
     The result holds ``stop`` exactly when the closure does (for a stop in
     ``bits`` or equal to x that closure is the result), and it is the
@@ -514,46 +517,19 @@ def extend_closure(sums: Sums, bits: int, x: int, stop: int = -1) -> int:
     """
     if bits >> x & 1:
         return bits
-    rows, row_values, col_values, row_fibers, col_fibers = sums
+    rows, cols, row_values, col_values, row_fibers, col_fibers = sums
     bits |= 1 << x
     size = bits.bit_count()
     stack = [x]
     push = stack.append
-    fibers = col_fibers[x]
-    if len(fibers) > size:
-        scan = bits
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            c = rows[low.bit_length() - 1][x]
-            if not bits >> c & 1:
-                bits |= 1 << c
-                if c == stop:
-                    return bits
-                size += 1
-                push(c)
-    else:
-        new = col_values[x] & ~bits
-        while new:
-            low = new & -new
-            new ^= low
-            c = low.bit_length() - 1
-            if fibers[c] & bits:
-                bits |= low
-                if c == stop:
-                    return bits
-                size += 1
-                push(c)
-    while stack:
-        a = stack.pop()
-        fibers = row_fibers[a]
+    line, values, fibers = cols[x], col_values[x], col_fibers[x]
+    while True:
         if len(fibers) > size:
-            row = rows[a]
             scan = bits
             while scan:
                 low = scan & -scan
                 scan ^= low
-                c = row[low.bit_length() - 1]
+                c = line[low.bit_length() - 1]
                 if not bits >> c & 1:
                     bits |= 1 << c
                     if c == stop:
@@ -561,7 +537,7 @@ def extend_closure(sums: Sums, bits: int, x: int, stop: int = -1) -> int:
                     size += 1
                     push(c)
         else:
-            new = row_values[a] & ~bits
+            new = values & ~bits
             while new:
                 low = new & -new
                 new ^= low
@@ -572,7 +548,10 @@ def extend_closure(sums: Sums, bits: int, x: int, stop: int = -1) -> int:
                         return bits
                     size += 1
                     push(c)
-    return bits
+        if not stack:
+            return bits
+        a = stack.pop()
+        line, values, fibers = rows[a], row_values[a], row_fibers[a]
 
 
 def closure_bits(sums: Sums, seed_bits: int) -> int:

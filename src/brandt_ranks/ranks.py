@@ -23,6 +23,7 @@ from .affine import (
     Singleton,
     a_plus_semigroup,
     all_permutations,
+    check_table_n,
     enumerate_a_plus,
     perm_inverse,
 )
@@ -477,7 +478,9 @@ def intermediate_rank_verify(n: int, budget: SearchBudget | None = None) -> Rank
     (plus their zero-constant augmentations) are enumerated and checked, one
     budget node per candidate. If the budget runs out first, the verified
     witness still proves the lower bound, and the result is (witness size, m).
+    n >= 6 is refused before the witness enumerates the elements.
     """
+    check_table_n(n)
     wit = construct_witness(n, "SprimeUnionT")  # checks n >= 2 and the size n * n! + 2n - 2
     sg = a_plus_semigroup(n)
     clock = _Clock(budget)

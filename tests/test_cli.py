@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from brandt_ranks import cli, engine
+from brandt_ranks import affine, cli, engine, ranks, verify
 from brandt_ranks.cli import (
     EXIT_BUDGET,
     EXIT_MISMATCH,
@@ -153,15 +153,48 @@ def test_search_r4_closed_form_builds_no_table(capsys, monkeypatch):
 )
 def test_table_commands_refuse_n6_before_the_build(capsys, monkeypatch, argv):
     # the n = 6 table takes 1.49 GB: a guard that let the build start would
-    # fail here instead of allocating it
+    # fail here instead of allocating it. Nor may the element list be
+    # enumerated first: for r3's witness at n = 8 that alone took 453 MB.
     def no_build(cls, *args, **kwargs):
         raise AssertionError("started building a table")
 
+    enumerated, real = [], affine.enumerate_a_plus
+
+    def counted(n):
+        enumerated.append(n)
+        return real(n)
+
     monkeypatch.setattr(engine.FiniteSemigroup, "from_elements", classmethod(no_build))
+    for module in (affine, ranks, verify, cli):
+        monkeypatch.setattr(module, "enumerate_a_plus", counted)
     code, out, err = invoke(capsys, argv[0], "--n", "6", *argv[1:])
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: A+(B_6) has 27253 elements")
     assert "rank --which formulas" in err
+    assert enumerated == []
+
+
+@pytest.mark.parametrize("n", ["1001", "2000"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count",),
+        ("rank", "--which", "formulas"),
+        ("rank", "--which", "formulas", "--format", "json"),
+        ("search-r4",),
+    ],
+)
+def test_n_above_the_printable_closed_forms_is_a_usage_error(capsys, argv, n):
+    # the closed forms outgrow the 4,300 digits Python prints from n = 1,557
+    code, out, err = invoke(capsys, argv[0], "--n", n, *argv[1:])
+    assert code == EXIT_USAGE and out == ""
+    assert "argument --n: value must be <= 1000" in err
+
+
+def test_count_prints_the_closed_forms_at_the_largest_n(capsys):
+    code, out, _ = invoke(capsys, "count", "--n", "1000")
+    assert code == EXIT_OK
+    assert out.splitlines()[0].endswith(" = (1000!+1)·1000000 + 1000000000000 + 1")
 
 
 def test_verify_n1(capsys):

@@ -64,16 +64,21 @@ def test_sums_rows_view_the_table_without_a_copy(ab3):
     kept = np.array(ab3.table)  # C-contiguous int16, so kept as given
     sg = FiniteSemigroup(ab3.labels, kept)
     assert sg.table is kept
-    rows = sg.sums.rows
-    assert len(rows) == sg.m
-    for a, row in enumerate(rows):
-        assert isinstance(row, memoryview) and row.readonly
-        assert (row.format, row.ndim, len(row)) == ("h", 1, sg.m)
-        assert row.obj is kept
+    rows, cols = sg.sums.rows, sg.sums.cols
+    assert len(rows) == len(cols) == sg.m
+    for line in rows + cols:
+        assert isinstance(line, memoryview) and line.readonly
+        assert (line.format, line.ndim, len(line)) == ("h", 1, sg.m)
+        assert line.obj is kept
+    for a in range(sg.m):
         # row a starts at the address of the table's row a: a view, no copy
-        assert np.frombuffer(row, dtype=np.int16).ctypes.data == kept[a].ctypes.data
-    with pytest.raises(TypeError):
-        rows[0][0] = 1
+        assert np.frombuffer(rows[a], dtype=np.int16).ctypes.data == kept[a].ctypes.data
+        # column a steps through the same buffer one row at a time
+        assert cols[a].strides == (2 * sg.m,)
+        assert np.asarray(cols[a]).ctypes.data == kept[:, a].ctypes.data
+    for line in (rows[0], cols[0]):
+        with pytest.raises(TypeError):
+            line[0] = 1
 
 
 def test_transposed_table_gives_the_semigroup_of_its_contiguous_copy(ab3):
@@ -589,7 +594,8 @@ def _check_sums(sg):
     sums, rows, m = sg.sums, sg.table.tolist(), sg.m
     assert [list(row) for row in sums.rows] == rows
     for a in range(m):
-        row, col = rows[a], [rows[b][a] for b in range(m)]
+        row, col = rows[a], list(sums.cols[a])
+        assert col == [rows[b][a] for b in range(m)]
         for line, values, fibers in (
             (row, sums.row_values[a], sums.row_fibers[a]),
             (col, sums.col_values[a], sums.col_fibers[a]),
@@ -621,7 +627,7 @@ def test_sums_reproduce_small_tables(sg):
 
 
 def _sums_content(sums):
-    """Every field of ``sums`` but ``rows``, with each fiber dict in insertion order."""
+    """Every field of ``sums`` but the views, with each fiber dict in insertion order."""
     return (
         sums.row_values,
         sums.col_values,
@@ -665,8 +671,7 @@ def test_sums_build_peak_stays_far_below_the_table_size(ab4):
     assert ab4.m == 657 and 1 < k < 657 and 657 % k != 0
     # whole-table temporaries peaked at 14 MB here; blocks of lines keep the
     # peak of the two passes that build the masks and fibers near the 2.7 MB
-    # they keep. ``sums`` then boxes the rows as Python lists, all of them
-    # kept, none temporary.
+    # they keep. ``sums`` then views the table's rows and columns, no copy.
     tracemalloc.start()
     try:
         passes = engine._line_fibers(ab4.table), engine._line_fibers(ab4.table.T)
