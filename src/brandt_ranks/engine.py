@@ -35,50 +35,49 @@ def iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-def _right_cayley_walk(
-    m: int, column: Callable[[int], list[int]]
+def _left_cayley_walk(
+    m: int, row: Callable[[int], Sequence[int]]
 ) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """Walk the right Cayley graph of a finite semigroup (Froidure & Pin,
+    """Walk the left Cayley graph of a finite semigroup (Froidure & Pin,
     *Algorithms for computing finite semigroups*, 1997).
 
-    ``column(g)`` gives the column of g (``column(g)[a] = a + g``). The
-    elements are walked in index order: one not yet reached becomes a
-    generator, and only its column is read; the reached set is then closed
-    again by adding each generator on the right, breadth first. Every
-    element is reached, as a sum of generators, so G generates under any
-    binary operation (|G| = 12, 33 and 120 for A+(B_n) at n = 2, 3, 4).
+    ``row(g)`` gives the row of g (``row(g)[x] = g + x``). The elements are
+    walked in index order: one not yet reached becomes a generator, and
+    only its row is read; the reached set is then closed again by adding
+    each generator on the left, breadth first. Every element is reached,
+    as a sum of generators, so G generates under any binary operation
+    (|G| = 12, 33 and 120 for A+(B_n) at n = 2, 3, 4).
 
-    Returns G and the steps (c, y, h) in discovery order, with c = y + h,
+    Returns G and the steps (c, y, h) in discovery order, with c = h + y,
     h in G, and y reached before c. For an associative table
-    x + (y + h) = (x + y) + h, so the column of c is the column of h read at
-    the entries of the column of y. ``from_elements`` builds the table that
-    way, and Light's test, which validates a table given without a
-    representation, checks associativity over G.
+    (h + y) + x = h + (y + x), so row c is row h read at row y:
+    ``from_elements`` builds the table that way, and Light's test checks
+    associativity over G.
     """
     seen = [False] * m
     gens: list[int] = []
-    gen_cols: list[list[int]] = []
+    gen_rows: list[Sequence[int]] = []
     steps: list[tuple[int, int, int]] = []
     reached: list[int] = []
     for g in range(m):
         if seen[g]:
             continue
-        col = column(g)
+        line = row(g)
         seen[g] = True
         gens.append(g)
-        gen_cols.append(col)
-        # the new members: g, x + g for x reached before, then their right
+        gen_rows.append(line)
+        # the new members: g, g + x for x reached before, then their left
         # multiples by every generator, breadth first
         new = [g]
         for x in reached:
-            c = col[x]
+            c = line[x]
             if not seen[c]:
                 seen[c] = True
                 steps.append((c, x, g))
                 new.append(c)
         for y in new:
-            for h, ch in zip(gens, gen_cols):
-                c = ch[y]
+            for h, rh in zip(gens, gen_rows):
+                c = rh[y]
                 if not seen[c]:
                     seen[c] = True
                     steps.append((c, y, h))
@@ -87,30 +86,38 @@ def _right_cayley_walk(
     return gens, steps
 
 
+def _row_views(table: np.ndarray) -> list[memoryview]:
+    """The rows of a C-contiguous int16 table as int16 memoryview slices of
+    its own buffer: indexing one gives a plain int, as a list would."""
+    m = len(table)
+    flat = memoryview(table).cast("B").cast("h")
+    return [flat[a : a + m] for a in range(0, m * m, m)]
+
+
 def _associativity_failure(table: np.ndarray) -> tuple[int, int, int] | None:
     """Return a violating triple (x, g, y), or None if the table is associative.
 
     Light's test (Clifford & Preston, Algebraic Theory of Semigroups I, 1.2):
     in any magma the elements g with (x + g) + y = x + (g + y) for all x and
     y form a closed set, so it is enough to check g over a generating set G,
-    here the G of ``_right_cayley_walk``. The check costs m * m * |G| lookups.
+    here the G of ``_left_cayley_walk`` over the table's rows. The check
+    costs m * m * |G| lookups, gathered and compared by rows.
     """
-    by_col = np.ascontiguousarray(table.T)  # by_col[b][a] = a + b
-    gens, _ = _right_cayley_walk(len(table), lambda g: by_col[g].tolist())
+    gens, _ = _left_cayley_walk(len(table), _row_views(table).__getitem__)
     # Both products and their comparison go into reused buffers: with fresh
     # m x m temporaries for each g, the n = 4 check ran about twice as slow
     # whenever the allocator returned them to the OS between iterations.
     # "clip" lets numpy write into ``out`` without a buffer; every index is
     # in range.
-    left_t, right = np.empty_like(by_col), np.empty_like(by_col)
-    ne = np.empty(by_col.shape, dtype=bool)
+    left, right = np.empty_like(table), np.empty_like(table)
+    ne = np.empty(table.shape, dtype=bool)
     for g in gens:
-        # left_t[x, y] = (x + g) + y against right[y, x] = x + (g + y)
-        np.take(table, by_col[g], axis=0, out=left_t, mode="clip")
-        np.take(by_col, table[g], axis=0, out=right, mode="clip")
-        np.not_equal(left_t.T, right, out=ne)
+        # left[x, y] = (x + g) + y against right[x, y] = x + (g + y)
+        np.take(table, table[:, g], axis=0, out=left, mode="clip")
+        np.take(table, table[g], axis=1, out=right, mode="clip")
+        np.not_equal(left, right, out=ne)
         if ne.any():
-            y, x = np.argwhere(ne)[0]
+            x, y = np.argwhere(ne)[0]
             return int(x), g, int(y)
     return None
 
@@ -136,10 +143,9 @@ def _check_representation(
     T[:, values[:, p]] and the table's side a gather of values[:, p] at the
     table's entries. All k coordinates are gathered at once, with the k
     matrices stacked, a block of rows at a time, so a block's temporaries
-    hold about ``_BLOCK_ENTRIES`` bytes whatever m and k are (at most 5 rows
-    of 657 at n = 4, one of 3,651 at n = 5). About 9 ms at n = 4 and
-    0.4-0.7 s at n = 5 on a 2-vCPU VM, against 60-80 ms and 73 s for
-    Light's test.
+    hold about ``_BLOCK_ENTRIES`` bytes whatever m and k are. About 9 ms at
+    n = 4 and 0.4-0.7 s at n = 5 on a 2-vCPU VM, against 60-80 ms and 18 s
+    for Light's test.
     """
     t_arr, v_arr = np.asarray(codomain), np.asarray(values)
     t = len(t_arr)
@@ -267,8 +273,7 @@ class Sums(NamedTuple):
     the b with b + a = c. ``rows[a]`` and ``cols[a]`` are row and column a
     of the table as read-only int16 memoryviews into the table's own buffer
     (``rows[a][b] = a + b``, ``cols[b][a] = a + b``), for the kernel's
-    member scans: indexing one gives a plain int, as a list would, and no
-    second copy of the table is kept.
+    member scans: no second copy of the table is kept.
     """
 
     rows: list[memoryview]
@@ -299,15 +304,18 @@ class FiniteSemigroup:
     Construction validates and stores the table, nothing more: ``sums``,
     which groups each row and column by value for the closure kernel and
     views its lines, is built on first use. Instances are immutable after
-    construction. ``table`` is a C-contiguous int16 array, so a table holds
-    at most ``_MAX_ELEMENTS`` = 32,768 elements; a C-contiguous int16 array
-    given as ``table`` is kept without a copy and made read-only, and any
-    other integer table is copied to that layout after its range check.
-    Python booleans among the entries are refused, though numpy would read
-    them as 1 and 0.
+    construction. ``table`` is one C-contiguous int16 array, the only
+    layout kept (int16 caps m at ``_MAX_ELEMENTS`` = 32,768): one given in
+    that layout is kept without a copy and made read-only, and any other
+    integer table is copied to it after its range check. Python booleans
+    among the entries are refused, though numpy would read them as 1 and
+    0, and an ``n`` that is not None or a positive integer raises
+    InvalidParameterError.
     """
 
     def __init__(self, labels, table, n: int | None = None, representation=None):
+        if n is not None and (n := _as_int(n, "n")) < 1:
+            raise InvalidParameterError(f"n {n} is not a positive integer")
         labels = tuple(str(x) for x in labels)
         m = len(labels)
         if m == 0:
@@ -360,18 +368,15 @@ class FiniteSemigroup:
         skip it. The masks and fibers come from two numpy passes, a block of
         lines at a time (about 30-45 ms for both sides at n = 4 on a 2-vCPU
         VM, with a tracemalloc peak of about 4.4 MB, of which 2.7 MB is
-        kept). The rows and the columns are m plain and m strided slices of
-        one flat int16 view of the table: about 0.13 MB of view objects per
-        side at n = 4 and 0.7 MB at n = 5, built in about 1 ms. Boxed row
-        lists took 3.7 MB and 4 ms at n = 4, and 133 MB and 0.3 s at n = 5.
+        kept). The rows (``_row_views``) and the columns are m plain and m
+        strided slices of the table's own buffer, built in about 1 ms.
         """
         m, table = self.m, self.table
         row_values, row_fibers = _line_fibers(table)
         col_values, col_fibers = _line_fibers(table.T)
         flat = memoryview(table).cast("B").cast("h")
-        rows = [flat[a : a + m] for a in range(0, m * m, m)]
         cols = [flat[b::m] for b in range(m)]
-        return Sums(rows, cols, row_values, col_values, row_fibers, col_fibers)
+        return Sums(_row_views(table), cols, row_values, col_values, row_fibers, col_fibers)
 
     @functools.cached_property
     def ideals(self) -> list[int]:
@@ -423,51 +428,51 @@ class FiniteSemigroup:
     ) -> "FiniteSemigroup":
         """Build the Cayley table of ``elements`` under the associative ``add_fn``.
 
-        Only the columns x + g for g in the generating set G of
-        ``_right_cayley_walk`` call ``add_fn``, m calls each, and go straight
-        into one m x m int16 array of columns; every other column is composed
-        in place from them along the walk's steps, one ``np.take`` each
-        (column c = column h read at column y). ``add_fn`` is therefore
-        called m * |G| times instead of m * m. More than ``_MAX_ELEMENTS``
-        elements raise InvalidParameterError before ``add_fn`` is called.
+        Only the rows g + x for g in the generating set G of
+        ``_left_cayley_walk`` call ``add_fn``, m calls each, and go straight
+        into the int16 table; every other row is composed in place from them
+        along the walk's steps, one ``np.take`` each (row c = row h read at
+        row y), so ``add_fn`` is called m * |G| times instead of m * m. A
+        wrong label count, a duplicate element or more than
+        ``_MAX_ELEMENTS`` elements raise InvalidParameterError first.
 
-        ``add_fn`` must be associative: the table is derived from the x + g
-        columns, so it may differ from ``add_fn`` elsewhere. Without a
+        ``add_fn`` must be associative: the table is derived from the g + x
+        rows, so it may differ from ``add_fn`` elsewhere. Without a
         ``representation`` that is not detected (Light's test only proves the
         derived table associative); with one, passed on to ``__init__``,
         a table that is not the representation's pointwise sums is refused.
-        Raises ClosureViolationError naming (x, g) if a sum x + g
+        Raises ClosureViolationError naming (g, x) if a sum g + x
         falls outside the element list; if none does, the list is closed.
         """
         elements = list(elements)
         if not elements:
             raise InvalidParameterError("element list must be nonempty")
+        m = len(elements)
         lab = [str(e) for e in elements] if labels is None else [str(s) for s in labels]
+        if len(lab) != m:
+            raise InvalidParameterError(f"{len(lab)} labels for {m} elements")
         index: dict = {}
         for i, e in enumerate(elements):
-            if e in index:
+            if index.setdefault(e, i) != i:
                 raise InvalidParameterError(f"duplicate element {lab[i]!r}")
-            index[e] = i
-        m = len(elements)
         if m > _MAX_ELEMENTS:
             raise InvalidParameterError(f"{m} elements: a table holds at most {_MAX_ELEMENTS}")
 
-        by_col = np.empty((m, m), dtype=np.int16)  # by_col[b][a] = a + b
+        table = np.empty((m, m), dtype=np.int16)
+        views = _row_views(table)
 
-        def column(g: int) -> list[int]:
-            col = list(map(index.get, map(add_fn, elements, itertools.repeat(elements[g], m))))
-            if None in col:
-                raise ClosureViolationError(lab[col.index(None)], lab[g])
-            by_col[g] = col
-            return col
+        def row(g: int) -> memoryview:
+            line = list(map(index.get, map(add_fn, itertools.repeat(elements[g], m), elements)))
+            if None in line:
+                raise ClosureViolationError(lab[g], lab[line.index(None)])
+            table[g] = line
+            return views[g]
 
-        _, steps = _right_cayley_walk(m, column)
+        _, steps = _left_cayley_walk(m, row)
         # "clip" lets numpy write into ``out`` without a buffer; every index
         # is in range
         for c, y, h in steps:
-            np.take(by_col[h], by_col[y], out=by_col[c], mode="clip")
-        table = by_col.T.copy()
-        del by_col  # free the columns before __init__ checks the copy
+            np.take(table[h], table[y], out=table[c], mode="clip")
         return cls(lab, table, n=n, representation=representation)
 
     def label_list(self, indices: Iterable[int]) -> list[str]:
@@ -683,12 +688,7 @@ def is_prime_subset(sg: FiniteSemigroup, subset) -> bool:
 def export_table(sg: FiniteSemigroup, fmt: Literal["json", "csv"] = "json") -> str:
     """Serialize labels plus table; ``import_table`` inverts this bit-exactly."""
     if fmt == "json":
-        payload = {
-            "n": sg.n,
-            "labels": list(sg.labels),
-            "table": sg.table.tolist(),
-        }
-        return json.dumps(payload)
+        return json.dumps({"n": sg.n, "labels": list(sg.labels), "table": sg.table.tolist()})
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -725,8 +725,7 @@ def import_table(data: bytes | str) -> FiniteSemigroup:
         n = payload.get("n")
         if n is not None and (not isinstance(n, int) or isinstance(n, bool) or n < 1):
             raise TableParseError("'n' must be null or a positive integer")
-        labels = payload["labels"]
-        table = payload["table"]
+        labels, table = payload["labels"], payload["table"]
         if not isinstance(labels, list) or not isinstance(table, list):
             raise TableParseError("'labels' and 'table' must be lists")
         # numpy would read true and false as 1 and 0

@@ -319,10 +319,10 @@ def verify_all(n: int, budget: SearchBudget | None = None) -> VerificationReport
         formula = formulas.ranks["r4"]
         rv = plan_rank(n, "r4", remaining())
         ranks.ranks["r4"] = rv
-        if formula.exact:  # searched at n = 1, the closed form itself for n >= 6
+        if formula.exact:  # searched at n = 1
             _require(rv.exact and rv.value == formula.value,
                      f"r4 {rv.value or rv.bounds} != {formula.value}")
-            return f"r4 = {rv.value}" + (" (closed form)" if n >= 6 else "")
+            return f"r4 = {rv.value}"
         if not rv.exact:
             return f"r4 in [{rv.lower}, {rv.upper}] (budget exhausted)"
         _require(formula.lower <= rv.value <= formula.upper,

@@ -143,35 +143,48 @@ def _closure_greedy_generators(sg):
 def test_from_elements_calls_add_fn_only_for_generator_columns(n, calls):
     elems = enumerate_a_plus(n)
     index = {e: i for i, e in enumerate(elems)}
-    right = []
+    left = []
 
     def add(f, g):
-        right.append(index[g])
+        left.append(index[f])
         return add_maps(n, f, g)
 
     sg = FiniteSemigroup.from_elements(elems, add, [map_label(f) for f in elems], n=n)
-    gens = sorted(set(right))
-    assert len(right) == calls == sg.m * len(gens)  # |G| = 3, 12, 33, 120
+    gens = sorted(set(left))
+    assert len(left) == calls == sg.m * len(gens)  # |G| = 3, 12, 33, 120
     assert sg == a_plus_semigroup(n)
     # G is the greedy generating set, each element that the earlier ones do
-    # not generate; the walk over the finished table's columns (Light's
-    # test) finds the same G
-    walked, _ = engine._right_cayley_walk(sg.m, lambda g: sg.table[:, g].tolist())
+    # not generate; the walk over the finished table's rows (Light's test)
+    # finds the same G
+    walked, _ = engine._left_cayley_walk(sg.m, lambda g: sg.table[g].tolist())
     assert gens == _closure_greedy_generators(sg) == walked
 
 
+def test_light_test_peak_stays_below_three_tables(ab4):
+    # two reused m x m int16 gather buffers and one bool compare buffer; the
+    # transposed copy of the table that the check once made took it to 3.5
+    table = ab4.table
+    tracemalloc.start()
+    try:
+        assert engine._associativity_failure(table) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * table.nbytes
+
+
 def _check_walk_steps(sg):
-    """Every step (c, y, h) of the walk over the table's columns has h in G,
-    y a generator or reached by an earlier step, and column c = column h
-    read at column y; G and the steps reach every element once."""
+    """Every step (c, y, h) of the walk over the table's rows has h in G,
+    y a generator or reached by an earlier step, and row c = row h read at
+    row y; G and the steps reach every element once."""
     table = sg.table
-    gens, steps = engine._right_cayley_walk(sg.m, lambda g: table[:, g].tolist())
+    gens, steps = engine._left_cayley_walk(sg.m, lambda g: table[g].tolist())
     assert sorted(gens + [c for c, _, _ in steps]) == list(range(sg.m))
     reached = set(gens)
     for c, y, h in steps:
         assert h in gens and y in reached
-        assert table[y, h] == c
-        assert table[:, c].tolist() == table[table[:, y], h].tolist()
+        assert table[h, y] == c
+        assert table[c].tolist() == table[h, table[y]].tolist()
         reached.add(c)
 
 
@@ -265,11 +278,42 @@ def test_from_elements_closure_violation():
     with pytest.raises(ClosureViolationError) as err:
         FiniteSemigroup.from_elements([1, 2], lambda a, b: a + b, labels=["one", "two"])
     assert "one" in str(err.value) and "two" in str(err.value)
+    # only 0 + 1 falls outside {0, 1}, so the labels come in the sum's order
+    with pytest.raises(ClosureViolationError) as err:
+        FiniteSemigroup.from_elements(
+            [0, 1], lambda a, b: a + 2 * b if a < b else a, labels=["zero", "one"]
+        )
+    assert (err.value.left_label, err.value.right_label) == ("zero", "one")
 
 
 def test_from_elements_duplicates():
     with pytest.raises(InvalidParameterError):
         FiniteSemigroup.from_elements([1, 1], lambda a, b: 1)
+
+
+def test_from_elements_checks_the_label_count_before_adding():
+    def add(a, b):
+        raise AssertionError("add_fn called")
+
+    for labels in (["a"], ["a", "b", "c", "d"]):
+        with pytest.raises(InvalidParameterError, match=f"{len(labels)} labels for 3 elements"):
+            FiniteSemigroup.from_elements([0, 1, 2], add, labels=labels)
+    # 1 + 2 falls outside the list too: the label count is still named first
+    with pytest.raises(InvalidParameterError, match="1 labels for 3 elements"):
+        FiniteSemigroup.from_elements([0, 1, 2], lambda a, b: a + b, labels=["a"])
+
+
+@pytest.mark.parametrize("n", [0, -3, True, np.bool_(True), 2.5, "2"])
+def test_semigroup_refuses_an_n_that_is_no_positive_integer(n):
+    with pytest.raises(InvalidParameterError, match="^n "):
+        FiniteSemigroup(["e"], [[0]], n=n)
+
+
+@pytest.mark.parametrize("n", [None, 1, 4, np.int64(3)])
+def test_semigroup_n_round_trips_through_export(n):
+    sg = FiniteSemigroup(["e"], [[0]], n=n)
+    assert sg.n == n and (n is None or type(sg.n) is int)
+    assert import_table(export_table(sg)) == sg
 
 
 def test_non_associative_table_rejected():
