@@ -22,7 +22,7 @@ from functools import lru_cache, partial
 from math import factorial
 from typing import NamedTuple, TypeAlias
 
-from .brandt import BnElement, bn_add, bn_elements, bn_index, bn_table, check_n
+from .brandt import BnElement, bn_add, bn_elements, bn_index, brandt_semigroup, check_n
 from .engine import FiniteSemigroup
 from .errors import CapabilityError, InvalidParameterError
 
@@ -251,7 +251,7 @@ def a_plus_semigroup(n: int) -> FiniteSemigroup:
     """The additive semigroup as a FiniteSemigroup in canonical order.
 
     The table is certified through each element's ``map_table`` values in
-    B_n, whose own table is ``bn_table`` (see
+    B_n = ``brandt_semigroup(n)``, whose own table Light's test checks (see
     ``engine._check_representation``). n >= 6 is refused before anything is
     built (``check_table_n``).
     """
@@ -265,7 +265,7 @@ def a_plus_semigroup(n: int) -> FiniteSemigroup:
         partial(add_maps, n),
         labels=[map_label(f) for f in elems],
         n=n,
-        representation=(values, bn_table(n)),
+        representation=(values, brandt_semigroup(n)),
     )
 
 
@@ -286,7 +286,7 @@ def endomorphisms_bruteforce(n: int) -> list[tuple[BnElement, ...]]:
         )
     elems = bn_elements(n)
     m = len(elems)
-    sums = bn_table(n)
+    sums = brandt_semigroup(n).table.tolist()
     out = []
     for images in itertools.product(range(m), repeat=m):
         ok = True

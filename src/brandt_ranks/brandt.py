@@ -57,13 +57,11 @@ def bn_label(x: BnElement) -> str:
     return "0" if x is None else f"({x[0] + 1},{x[1] + 1})"
 
 
-def bn_table(n: int) -> list[list[int]]:
-    """The Cayley table of B_n in canonical order: ``bn_index`` of each ``bn_add``."""
-    elems = bn_elements(n)
-    return [[bn_index(n, bn_add(n, x, y)) for y in elems] for x in elems]
-
-
 def brandt_semigroup(n: int) -> FiniteSemigroup:
-    """B_n as a FiniteSemigroup in canonical element order; its table is
-    handed in whole, so Light's test checks it."""
-    return FiniteSemigroup([bn_label(x) for x in bn_elements(n)], bn_table(n), n=n)
+    """B_n as a FiniteSemigroup in canonical element order, its table
+    ``bn_index`` of each ``bn_add``. The table is handed in whole, so Light's
+    test checks it; the A+(B_n) certificate takes this validated B_n as its
+    codomain (``affine.a_plus_semigroup``)."""
+    elems = bn_elements(n)
+    table = [[bn_index(n, bn_add(n, x, y)) for y in elems] for x in elems]
+    return FiniteSemigroup([bn_label(x) for x in elems], table, n=n)

@@ -607,12 +607,11 @@ def upper_rank_search(
 
     chosen: list[int] = []
     slot = [0] * m  # slot[c] = r for the chosen member c = chosen[r]
-    complete = True
 
     def rec(cand: int, minus_bits: list[int], all_bits: int, chosen_bits: int) -> None:
         # recursion only on include; exclude shrinks cand in place, so the
         # stack depth is bounded by the incumbent size rather than by m
-        nonlocal best_size, best, complete
+        nonlocal best_size, best
         if len(chosen) > best_size:
             best_size = len(chosen)
             best = tuple(chosen)
@@ -620,7 +619,6 @@ def upper_rank_search(
             if len(chosen) + cand.bit_count() <= best_size:
                 return
             if not clock.spend():
-                complete = False
                 return
             x = (cand & -cand).bit_length() - 1
             cand &= ~(1 << x)
@@ -661,7 +659,8 @@ def upper_rank_search(
 
     if best_size > verified and not engine.is_independent(sg, best):
         raise WitnessVerificationError("maximum independent witness failed re-check")
-    if complete:
+    # nothing else spends this clock, so it is ok iff the search finished
+    if clock.ok:
         return _rank(sg, clock, value=best_size, provenance=PROV_SEARCH, witness=best or None)
     return _rank(sg, clock, bounds=(best_size, m), provenance=PROV_BOUNDS, witness=best or None,
                  detail="budget exhausted; best witness kept")
@@ -750,9 +749,9 @@ def large_rank_exact(sg: FiniteSemigroup, budget: SearchBudget | None = None) ->
     presence gives r5 = m immediately. The search stops at a size cap of
     min(6, m - 1) for every table; A+(B_n) has the prime subset V of n - 1
     elements, which the cap admits for every n whose table can be built
-    (n <= 7). If no prime subset exists up to the cap, or the budget runs
-    out first, a bounds-only result notes the largest size the search has
-    excluded.
+    (n <= 5, ``affine.check_table_n``). If no prime subset exists up to the
+    cap, or the budget runs out first, a bounds-only result notes the
+    largest size the search has excluded.
     """
     clock = _Clock(budget)
     m = sg.m

@@ -140,7 +140,7 @@ def _closure_greedy_generators(sg):
 
 
 @pytest.mark.parametrize("n, calls", [(1, 9), (2, 348), (3, 4_785), (4, 78_840)])
-def test_from_elements_calls_add_fn_only_for_generator_columns(n, calls):
+def test_from_elements_calls_add_fn_only_for_generator_rows(n, calls):
     elems = enumerate_a_plus(n)
     index = {e: i for i, e in enumerate(elems)}
     left = []
@@ -189,7 +189,7 @@ def _check_walk_steps(sg):
 
 
 @pytest.mark.parametrize("name", ["ab2", "ab3", "b3"])
-def test_walk_steps_compose_columns(name, request):
+def test_walk_steps_compose_rows(name, request):
     _check_walk_steps(request.getfixturevalue(name))
 
 
@@ -426,32 +426,29 @@ def test_light_test_matches_exhaustive_check(table):
 
 @settings(max_examples=100, deadline=None)
 @given(small_tables(SEMIGROUP_KINDS))
-def test_walk_steps_compose_columns_of_small_tables(table):
+def test_walk_steps_compose_rows_of_small_tables(table):
     sg = semigroup_or_none(table)
     assume(sg is not None)
     _check_walk_steps(sg)
 
 
-def _a_plus_representation(n):
-    """The value rows of A+(B_n) in B_n and B_n's table, as ``a_plus_semigroup``
-    passes them, rebuilt here from ``map_table`` and ``bn_add``."""
-    bn = bn_elements(n)
-    index = {x: i for i, x in enumerate(bn)}
-    values = [[index[x] for x in map_table(n, f)] for f in enumerate_a_plus(n)]
-    return values, [[index[bn_add(n, x, y)] for y in bn] for x in bn]
+def _a_plus_values(n):
+    """The value rows of A+(B_n) in B_n, as ``a_plus_semigroup`` passes them,
+    rebuilt here from ``map_table``."""
+    index = {x: i for i, x in enumerate(bn_elements(n))}
+    return [[index[x] for x in map_table(n, f)] for f in enumerate_a_plus(n)]
 
 
 def _certify(sg, table=None, values=None, codomain=None):
-    """Build ``sg``'s labels over ``table`` with the A+(B_n) representation,
-    either part of which may be replaced."""
-    rep_values, rep_codomain = _a_plus_representation(sg.n)
+    """Build ``sg``'s labels over ``table`` with the A+(B_n) representation
+    into ``brandt_semigroup(n)``, either part of which may be replaced."""
     return FiniteSemigroup(
         sg.labels,
         sg.table if table is None else table,
         n=sg.n,
         representation=(
-            rep_values if values is None else values,
-            rep_codomain if codomain is None else codomain,
+            _a_plus_values(sg.n) if values is None else values,
+            brandt_semigroup(sg.n) if codomain is None else codomain,
         ),
     )
 
@@ -490,47 +487,64 @@ def test_certificate_refuses_one_corrupted_entry(name, a, b, request):
 
 
 def test_certificate_refuses_two_equal_value_rows(ab2):
-    values, _ = _a_plus_representation(2)
+    values = _a_plus_values(2)
     values[7] = values[3]
     with pytest.raises(TableValidationError) as err:
         _certify(ab2, values=values)
     assert str(err.value) == f"{ab2.labels[3]} and {ab2.labels[7]} have the same values"
 
 
-def test_certificate_refuses_a_non_associative_codomain(ab2):
-    _, codomain = _a_plus_representation(2)
+def test_certificate_refuses_a_non_associative_codomain(b2):
+    # a codomain is a FiniteSemigroup, so a non-associative "B_2" is refused
+    # by Light's test before it can become one
+    codomain = b2.table.tolist()
     codomain[1][1] = 2  # (1,1) + (1,1) = (1,2) in B_2
     assert _violations(codomain)
-    with pytest.raises(TableValidationError, match="codomain associativity fails"):
-        _certify(ab2, codomain=codomain)
+    with pytest.raises(TableValidationError, match="associativity fails at"):
+        FiniteSemigroup(b2.labels, codomain)
+
+
+def test_certificate_refuses_a_list_codomain(ab2, b2):
+    # B_2's own table, correct but not a FiniteSemigroup
+    with pytest.raises(TableValidationError, match="codomain must be a FiniteSemigroup"):
+        _certify(ab2, codomain=b2.table.tolist())
 
 
 @pytest.mark.parametrize(
     "values, codomain, message",
     [
-        ([[0], [1], [1]], [[0, 2], [0, 1]], "codomain entries must be indices in"),
+        ([[0], [1], [1]], [[0, 2], [0, 1]], "table entries must be element indices in"),
         ([[0], [1]], [[0, 0], [0, 1]], "values must be an integer matrix with 3 rows"),
         ([[0], [1], [2]], [[0, 0], [0, 1]], "values must be codomain indices in"),
         ([[0], [1], [1]], [[0, 0], [0, 1]], "b and c have the same values"),
         ([[0, 0], [0, 0]], [[0, 0], [0, 1]], "values must be an integer matrix with 3 rows"),
         ([[0.0], [1.0], [1.0]], [[0, 0], [0, 1]], "values must be an integer matrix"),
-        ([[0], [1], [1]], [[0, 1]], "codomain must be a nonempty square integer matrix"),
+        ([[0], [1], [1]], [[0, 1]], "table shape"),
     ],
 )
 def test_certificate_refuses_malformed_representations(values, codomain, message):
-    # a + b = a on {a, b, c}, a left-zero semigroup
+    # a + b = a on {a, b, c}, a left-zero semigroup; the codomain table is
+    # made a FiniteSemigroup first, which refuses an out-of-range or
+    # non-square one before any certificate sees it
     with pytest.raises(TableValidationError, match=message):
         FiniteSemigroup(["a", "b", "c"], [[0] * 3, [1] * 3, [2] * 3],
-                        representation=(values, codomain))
+                        representation=(values, FiniteSemigroup(["0", "1"], codomain)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_a_plus_semigroup_builds_without_light_test(n, monkeypatch):
-    def refuse(table):
-        raise AssertionError("Light's test ran")
+    # Light's test runs once per build, on the table of the codomain B_n,
+    # and never on A+(B_n)'s table, which the certificate checks instead
+    calls = []
 
-    monkeypatch.setattr(engine, "_associativity_failure", refuse)
+    def counted(table):
+        calls.append(len(table))
+        return light(table)
+
+    light = engine._associativity_failure
+    monkeypatch.setattr(engine, "_associativity_failure", counted)
     assert a_plus_semigroup.__wrapped__(n) == a_plus_semigroup(n)
+    assert calls == [n * n + 1]
 
 
 def test_imported_and_brandt_tables_still_get_light_test(ab3, monkeypatch):
