@@ -66,13 +66,6 @@ def all_permutations(n: int) -> list[Permutation]:
     return list(itertools.permutations(range(n)))
 
 
-def perm_inverse(sigma: Permutation) -> Permutation:
-    inv = [0] * len(sigma)
-    for i, s in enumerate(sigma):
-        inv[s] = i
-    return tuple(inv)
-
-
 def map_table(n: int, f: AffineMapElement) -> tuple[BnElement, ...]:
     """The full value table of ``f`` in canonical B_n order."""
     if isinstance(f, ConstZero):

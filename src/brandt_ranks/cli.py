@@ -1,11 +1,12 @@
 """Command-line front end: build/export tables, Green's analyses, ranks, verification.
 
 Exit codes: 0 success / all verified, 1 verification mismatch, 2 invalid
-arguments (n > ``_MAX_N``, or n >= 6 for a command that needs the table),
-3 budget exhausted (bounds emitted). ``verify`` never exits 3: a
-closed-form rank (r1, r2, r3, r5) that the budget cuts short is a mismatch,
-exit 1, while an r4 search cut short passes. The default search budget is
-``SearchBudget``'s: 60 seconds and 1e8 nodes.
+arguments (n > ``_MAX_N``, n >= 6 for a command that needs the table, or a
+``build --out`` file that cannot be written), 3 budget exhausted (bounds
+emitted). ``verify`` never exits 3: a closed-form rank (r1, r2, r3, r5)
+that the budget cuts short is a mismatch, exit 1, while an r4 search cut
+short passes. The default search budget is ``SearchBudget``'s: 60 seconds
+and 1e8 nodes.
 """
 
 from __future__ import annotations
@@ -113,16 +114,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: Path | None) -> None:
-    if out is None:
-        print(text)
-    else:
-        out.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
-
-
 def _cmd_build(args) -> int:
-    sg = a_plus_semigroup(args.n)
-    _emit(engine.export_table(sg, args.format), args.out)
+    text = engine.export_table(a_plus_semigroup(args.n), args.format)
+    if args.out is None:
+        print(text)
+        return EXIT_OK
+    try:
+        args.out.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

@@ -203,16 +203,15 @@ def _bitmasks(packed: np.ndarray) -> list[int]:
     return [int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width)]
 
 
-# Table entries per block of lines in ``_line_fibers`` and
-# ``indecomposable_bits``, and entries times coordinates in
-# ``_check_representation``. A block's numpy temporaries take a few bytes per
-# entry, so they stay near 1 MB whatever m is; whole-table arrays peaked at
-# 14 MB under tracemalloc at n = 4 (m = 657) and, from their shapes, would
-# take about 0.4 GB per side at n = 5 (m = 3,651). Measured at n = 4 on a
-# 2-vCPU VM, blocks of 2^14 to 2^17 entries build both sides of ``sums`` in
-# about the same 47 ms, against 67 ms for one whole-table block and 108 ms
-# for one line per block (about 45 µs of numpy calls per block); 2^16 keeps
-# 17 lines per block at n = 5.
+# Table entries per block of lines in ``_line_fibers``, and entries times
+# coordinates in ``_check_representation``. A block's numpy temporaries take a
+# few bytes per entry, so they stay near 1 MB whatever m is; whole-table
+# arrays peaked at 14 MB under tracemalloc at n = 4 (m = 657) and, from their
+# shapes, would take about 0.4 GB per side at n = 5 (m = 3,651). Measured at
+# n = 4 on a 2-vCPU VM, blocks of 2^14 to 2^17 entries build both sides of
+# ``sums`` in about the same 47 ms, against 67 ms for one whole-table block
+# and 108 ms for one line per block (about 45 µs of numpy calls per block);
+# 2^16 keeps 17 lines per block at n = 5.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -394,23 +393,21 @@ class FiniteSemigroup:
 
     @functools.cached_property
     def indecomposable_bits(self) -> int:
-        """Bitmask of the elements with no expression b + c where both b and
-        c differ from it, read off the table with numpy on first use, a
-        block of ``_block_lines(m)`` rows at a time like ``_line_fibers``.
+        """Bitmask of the elements with no expression a + b where both a and
+        b differ from it, read off the row fibers of ``sums`` on first use:
+        c is decomposable iff some row a != c has a fiber at c with a member
+        b != c.
 
         In a one-element semigroup the single element is indecomposable
         (there are no candidate witnesses), a documented edge case of the
         definition.
         """
-        table, m = self.table, self.m
-        i = np.arange(m)
-        k = _block_lines(m)
-        decomposable = np.zeros(m, dtype=bool)
-        for a in range(0, m, k):
-            block = table[a : a + k]
-            # c = a + b with c != a and c != b
-            decomposable[block[(block != i[a : a + k, None]) & (block != i)]] = True
-        return int.from_bytes(np.packbits(~decomposable, bitorder="little").tobytes(), "little")
+        decomposable = 0
+        for a, fibers in enumerate(self.sums.row_fibers):
+            for c, bs in fibers.items():
+                if c != a and bs & ~(1 << c):
+                    decomposable |= 1 << c
+        return ((1 << self.m) - 1) & ~decomposable
 
     @classmethod
     def from_elements(

@@ -25,7 +25,6 @@ from .affine import (
     all_permutations,
     check_table_n,
     enumerate_a_plus,
-    perm_inverse,
 )
 from .brandt import check_n
 from .engine import FiniteSemigroup, closure_bits, extend_closure, iter_bits
@@ -222,10 +221,9 @@ def _witness_elements(n: int, kind: str):
         # phi_sigma + xi_(r, s) is the n-support map (r sigma^-1, s; sigma).
         out = []
         for sigma in all_permutations(n):
-            inv = perm_inverse(sigma)
             for c in _cycle_constants(n):
                 r, s = c.c
-                out.append(NSupport(inv[r], s, sigma))
+                out.append(NSupport(sigma.index(r), s, sigma))
         return out
     if kind == "SprimeUnionT":
         sprime = [Const((0, i)) for i in range(1, n)] + [Const((j, 0)) for j in range(1, n)]
@@ -402,8 +400,8 @@ def lower_rank_exact(
         wit = tuple(iter_bits(bits))
     top = len(wit) - 1 if wit else m
 
-    chosen: list[int] = []
     ind = sg.indecomposable_bits
+    found = 0  # the generating set the sweep stopped at, as a bitmask
 
     @functools.cache
     def visits(start: int, left: int) -> int:
@@ -422,9 +420,11 @@ def lower_rank_exact(
 
     def sweep(start: int, bits: int, left: int, cbits: int) -> bool:
         # ``left`` more elements to pick after the prefix ``cbits``; False
-        # stops the sweep: the chosen prefix generates, or the budget ran out.
-        # Once i passes an indecomposable the prefix lacks, no extension can
-        # pick it up, so i goes no higher than the lowest one missing.
+        # stops the sweep: a prefix generates (kept in ``found``), or the
+        # budget ran out. Once i passes an indecomposable the prefix lacks,
+        # no extension can pick it up, so i goes no higher than the lowest
+        # one missing.
+        nonlocal found
         missing = ind & ~cbits
         stop = m - left + 1
         if missing:
@@ -433,10 +433,11 @@ def lower_rank_exact(
             if not clock.spend():
                 return False
             nb = extend_closure(sums, bits, i)
-            chosen.append(i)
-            if nb == full or left > 1 and not sweep(i + 1, nb, left - 1, cbits | 1 << i):
+            if nb == full:
+                found = cbits | 1 << i
                 return False
-            chosen.pop()
+            if left > 1 and not sweep(i + 1, nb, left - 1, cbits | 1 << i):
+                return False
         return True
 
     for k in range(min(lb, top), top + 1):
@@ -445,10 +446,10 @@ def lower_rank_exact(
             break
         if k and not sweep(0, 0, k, 0):  # k = 0: the empty set generates nothing
             if clock.ok:
-                found = tuple(chosen)
-                if closure_bits(sums, sum(1 << i for i in found)) != full:
+                if closure_bits(sums, found) != full:
                     raise WitnessVerificationError("minimum generating witness failed re-check")
-                return _rank(sg, clock, value=len(found), provenance=PROV_SEARCH, witness=found)
+                return _rank(sg, clock, value=found.bit_count(), provenance=PROV_SEARCH,
+                             witness=tuple(iter_bits(found)))
             detail = "budget exhausted mid-sweep"
             break
     else:
@@ -551,10 +552,14 @@ def upper_rank_search(
     set; it is verified first and only strengthens pruning. The best set is
     checked again at the end only if the search replaced the seed.
 
-    For each chosen member c = chosen[r] (r = slot[c]) the search keeps a
-    leave-one-out closure ``minus_bits[r]``: the closure of some G_r with
-    (chosen minus c) ∩ up(c) ⊆ G_r ⊆ chosen minus c, where up(c) is the set
-    of elements whose principal ideal holds c (``FiniteSemigroup.ideals``).
+    The chosen set is only the bitmask ``chosen_bits`` that each include
+    passes down, beside one leave-one-out closure per member, so |chosen| is
+    ``len(minus_bits)``. Every path adds members in ascending order (x is
+    always the lowest bit of ``cand``), so the closure of member c is
+    ``minus_bits[r]`` for r the number of members below c: the closure of
+    some G_r with (chosen minus c) ∩ up(c) ⊆ G_r ⊆ chosen minus c, where
+    up(c) is the set of elements whose principal ideal holds c
+    (``FiniteSemigroup.ideals``).
     A new member x extends only the closures of the c in
     ``ideals[x] & chosen_bits``, each with c as the kernel's ``stop``: an
     extension that rejects x stops as soon as c joins, and it is discarded
@@ -562,15 +567,14 @@ def upper_rank_search(
     The test "c in minus_bits[r]" stays exact, because a sum equal to c lies
     in the ideal of each of its terms, so c is generated by chosen minus c
     iff it is generated by the members in up(c); an untouched closure is
-    unchanged and does not hold its c. Those c are
-    visited lowest bit first, which is their order in ``chosen``, since x is
-    always the lowest bit of ``cand`` and every path appends members in
-    ascending order. So the tree and the sequence of closure extensions are
-    those of a walk over all of ``chosen``, while the Python work of a node
-    follows the members it reaches, not |chosen|.
+    unchanged and does not hold its c. Those c are visited lowest bit
+    first, which is their order in ``minus_bits``. So the tree and the
+    sequence of closure extensions are those of a walk over all of the
+    chosen set, while the Python work of a node follows the members it
+    reaches, not |chosen|.
 
     Each include passes its child a copy of ``minus_bits`` with the touched
-    slots replaced, and the new closure and bitmask of the chosen set, so
+    ranks replaced, and the new closure and bitmask of the chosen set, so
     the way back restores nothing.
 
     An include is lazy: the child of x is bounded by |chosen| + 1 plus its
@@ -605,18 +609,16 @@ def upper_rank_search(
         best_size = len(best)
     verified = best_size
 
-    chosen: list[int] = []
-    slot = [0] * m  # slot[c] = r for the chosen member c = chosen[r]
-
     def rec(cand: int, minus_bits: list[int], all_bits: int, chosen_bits: int) -> None:
         # recursion only on include; exclude shrinks cand in place, so the
         # stack depth is bounded by the incumbent size rather than by m
         nonlocal best_size, best
-        if len(chosen) > best_size:
-            best_size = len(chosen)
-            best = tuple(chosen)
+        size = len(minus_bits)  # one leave-one-out closure per chosen member
+        if size > best_size:
+            best_size = size
+            best = tuple(iter_bits(chosen_bits))
         while cand:
-            if len(chosen) + cand.bit_count() <= best_size:
+            if size + cand.bit_count() <= best_size:
                 return
             if not clock.spend():
                 return
@@ -625,7 +627,7 @@ def upper_rank_search(
             # rest holds the candidates of x's child; a child that fails its
             # bound would return before spending a node or replacing best
             rest = cand & comp[x]
-            if len(chosen) + 1 + rest.bit_count() <= best_size:
+            if size + 1 + rest.bit_count() <= best_size:
                 continue
 
             # x is no factor of any sum equal to a c outside its ideal
@@ -635,7 +637,7 @@ def upper_rank_search(
                 low = reach & -reach
                 reach ^= low
                 c = low.bit_length() - 1
-                r = slot[c]
+                r = (chosen_bits & (low - 1)).bit_count()
                 nb = extend_closure(sums, minus_bits[r], x, c)
                 touched.append((r, nb))
                 if nb >> c & 1:
@@ -643,17 +645,14 @@ def upper_rank_search(
             else:  # no chosen member is generated by the others with x
                 new_all = extend_closure(sums, all_bits, x)
                 rest &= ~new_all
-                if len(chosen) + 1 + rest.bit_count() <= best_size:
+                if size + 1 + rest.bit_count() <= best_size:
                     continue
                 new_minus = minus_bits[:]
                 for r, nb in touched:
                     new_minus[r] = nb
                 # x's own leave-one-out closure is the closure of chosen
                 new_minus.append(all_bits)
-                slot[x] = len(chosen)
-                chosen.append(x)
                 rec(rest, new_minus, new_all, chosen_bits | 1 << x)
-                chosen.pop()
 
     rec(full_mask, [], 0, 0)
 

@@ -81,7 +81,7 @@ def test_semigroup_table(b2):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_bn_table_is_the_per_pair_table(n):
+def test_brandt_semigroup_table_is_the_per_pair_table(n):
     elems = bn_elements(n)
     index = {x: i for i, x in enumerate(elems)}
     per_pair = [[index[bn_add(n, x, y)] for y in elems] for x in elems]

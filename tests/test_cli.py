@@ -61,6 +61,14 @@ def test_build_csv_to_file(tmp_path, capsys):
     assert sg.m == 29
 
 
+def test_build_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "b.json"
+    code, out, err = invoke(capsys, "build", "--n", "2", "--out", str(target))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists() and not target.parent.exists()
+
+
 def test_greens(capsys):
     code, out, _ = invoke(capsys, "greens", "--n", "2")
     assert code == EXIT_OK
