@@ -3,16 +3,18 @@
 Exit codes: 0 success / all verified, 1 verification mismatch, 2 invalid
 arguments (n > ``_MAX_N``, n >= 6 for a command that needs the table, or a
 ``build --out`` file that cannot be written), 3 budget exhausted (bounds
-emitted). ``verify`` never exits 3: a closed-form rank (r1, r2, r3, r5)
-that the budget cuts short is a mismatch, exit 1, while an r4 search cut
-short passes. The default search budget is ``SearchBudget``'s: 60 seconds
-and 1e8 nodes.
+emitted), 141 stdout closed early by its reader (128 + SIGPIPE, as a shell
+reports ``yes | head``). ``verify`` never exits 3: a closed-form rank (r1,
+r2, r3, r5) that the budget cuts short is a mismatch, exit 1, while an r4
+search cut short passes. The default search budget is ``SearchBudget``'s:
+60 seconds and 1e8 nodes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import factorial, isfinite
 from pathlib import Path
@@ -20,13 +22,14 @@ from pathlib import Path
 from . import engine
 from .affine import a_plus_semigroup, a_plus_size, enumerate_a_plus
 from .errors import InvalidParameterError
-from .ranks import RankReport, SearchBudget, plan_rank, rank_formulas
+from .ranks import RankReport, RankValue, SearchBudget, plan_rank, rank_formulas
 from .verify import nsupport_r_class_count, verify_all
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141
 
 
 def _positive_int(text: str) -> int:
@@ -105,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search-r4", help="branch-and-bound for the maximum independent set")
     common(p, budget=True, fmt=("text", "json"))
+    p.set_defaults(which="r4")
 
     p = sub.add_parser("prime", help="find a smallest proper prime subset")
     common(p, budget=True, fmt=("text", "json"))
@@ -116,11 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_build(args) -> int:
     text = engine.export_table(a_plus_semigroup(args.n), args.format)
+    text = text if text.endswith("\n") else text + "\n"
     if args.out is None:
-        print(text)
+        sys.stdout.write(text)
         return EXIT_OK
     try:
-        args.out.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        args.out.write_text(text, encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -164,6 +169,11 @@ def _cmd_greens(args) -> int:
     return EXIT_OK if payload["match"] else EXIT_MISMATCH
 
 
+def _print_witness(rv: RankValue, verbose: int) -> None:
+    if verbose and rv.witness_labels:
+        print(f"  witness: {' '.join(rv.witness_labels)}")
+
+
 def _print_rank(report: RankReport, fmt: str, verbose: int = 0) -> None:
     if fmt == "json":
         print(json.dumps(report.to_json_dict(), indent=2))
@@ -176,26 +186,16 @@ def _print_rank(report: RankReport, fmt: str, verbose: int = 0) -> None:
         if rv.detail:
             line += f" ({rv.detail})"
         print(line)
-        if verbose and rv.witness_labels:
-            print(f"  witness: {' '.join(rv.witness_labels)}")
-
-
-def _print_planned(args, key: str) -> int:
-    rv = plan_rank(args.n, key, _budget(args))
-    report = RankReport(n=args.n, ranks={key: rv})
-    _print_rank(report, args.format, args.verbose)
-    return EXIT_OK if rv.exact else EXIT_BUDGET
+        _print_witness(rv, verbose)
 
 
 def _cmd_rank(args) -> int:
     if args.which == "formulas":
         _print_rank(rank_formulas(args.n), args.format, args.verbose)
         return EXIT_OK
-    return _print_planned(args, args.which)
-
-
-def _cmd_search_r4(args) -> int:
-    return _print_planned(args, "r4")
+    rv = plan_rank(args.n, args.which, _budget(args))
+    _print_rank(RankReport(n=args.n, ranks={args.which: rv}), args.format, args.verbose)
+    return EXIT_OK if rv.exact else EXIT_BUDGET
 
 
 def _cmd_prime(args) -> int:
@@ -209,6 +209,7 @@ def _cmd_prime(args) -> int:
             print(f"r5 = {rv.value}")
         else:
             print(f"r5 in [{rv.bounds[0]}, {rv.bounds[1]}] ({rv.detail})")
+        _print_witness(rv, args.verbose)
     return EXIT_OK if rv.exact else EXIT_BUDGET
 
 
@@ -226,7 +227,7 @@ _HANDLERS = {
     "count": _cmd_count,
     "greens": _cmd_greens,
     "rank": _cmd_rank,
-    "search-r4": _cmd_search_r4,
+    "search-r4": _cmd_rank,
     "prime": _cmd_prime,
     "verify": _cmd_verify,
 }
@@ -246,7 +247,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout; quiet the final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -35,6 +35,16 @@ def iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
+def transpose_bits(rows: Iterable[tuple[int, Iterable[int]]], m: int) -> list[int]:
+    """Bit j of ``out[i]`` is set iff i is among the members of j in ``rows``."""
+    out = [0] * m
+    for j, members in rows:
+        bit = 1 << j
+        for i in members:
+            out[i] |= bit
+    return out
+
+
 def _left_cayley_walk(
     m: int, row: Callable[[int], Sequence[int]]
 ) -> tuple[list[int], list[tuple[int, int, int]]]:
@@ -603,13 +613,8 @@ def independent_bits(sums: Sums, ideals: list[int], bits: int) -> bool:
     the kernel's ``stop``, so it ends as soon as c appears. For the
     388-element witness I at n = 4 the up-sets hold 2,700 members in all.
     """
-    up = [0] * len(ideals)
-    for g in iter_bits(bits):
-        held = ideals[g] & bits & ~(1 << g)
-        while held:
-            low = held & -held
-            held ^= low
-            up[low.bit_length() - 1] |= 1 << g
+    up = transpose_bits(((g, iter_bits(ideals[g] & bits & ~(1 << g))) for g in iter_bits(bits)),
+                        len(ideals))
     for c in iter_bits(bits):
         closed = 0
         for g in iter_bits(up[c]):

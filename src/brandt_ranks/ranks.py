@@ -27,7 +27,7 @@ from .affine import (
     enumerate_a_plus,
 )
 from .brandt import check_n
-from .engine import FiniteSemigroup, closure_bits, extend_closure, iter_bits
+from .engine import FiniteSemigroup, closure_bits, extend_closure, iter_bits, transpose_bits
 from .errors import InvalidParameterError, WitnessVerificationError
 
 PROV_FORMULA = "formula"
@@ -318,29 +318,17 @@ def _small_rank_bruteforce(sg: FiniteSemigroup, budget: SearchBudget | None) -> 
 # --- r2: lower rank ------------------------------------------------------------
 
 
-def _first_factors(sg: FiniteSemigroup) -> list[int]:
-    """For each c, the bitmask of the a whose row holds c (some a + b = c).
-
-    Read from the fibers of ``sg.sums``: each a is marked once per value in
-    its row (about 16 of the 657 at n = 4).
-    """
-    first = [0] * sg.m
-    for a, fibers in enumerate(sg.sums.row_fibers):
-        abit = 1 << a
-        for c in fibers:
-            first[c] |= abit
-    return first
-
-
 def first_factor_lower_bound(sg: FiniteSemigroup) -> tuple[int, list[int]]:
     """Sound lower bound on minimum generating size from the table alone.
 
     For every element f, any generating set must contain f itself or some a
     that opens a two-term product a + b = f. A family of elements whose
-    first-factor sets are pairwise disjoint therefore bounds the minimum
-    generating size from below; a greedy pass picks such a family.
+    first-factor sets (the transpose of the row fibers' values) are pairwise
+    disjoint therefore bounds the minimum generating size from below; a
+    greedy pass picks such a family.
     """
-    first = [1 << f | bits for f, bits in enumerate(_first_factors(sg))]
+    first = transpose_bits(enumerate(sg.sums.row_fibers), sg.m)
+    first = [1 << f | bits for f, bits in enumerate(first)]
     order = sorted(range(sg.m), key=lambda f: (first[f].bit_count(), f))
     taken = 0
     picks: list[int] = []
@@ -593,10 +581,7 @@ def upper_rank_search(
     # comp[i]: the j with j not in <i> and i not in <j>; in_cyc is the
     # transpose of the cyclic closures (bit j of in_cyc[i] iff i in <j>)
     cyc = [closure_bits(sums, 1 << i) for i in range(m)]
-    in_cyc = [0] * m
-    for j, c in enumerate(cyc):
-        for i in iter_bits(c):
-            in_cyc[i] |= 1 << j
+    in_cyc = transpose_bits(((j, iter_bits(c)) for j, c in enumerate(cyc)), m)
     comp = [full_mask & ~c & ~t for c, t in zip(cyc, in_cyc)]
 
     best_size = 0
@@ -673,9 +658,9 @@ def _violated_pair(row_fibers: list[dict[int, int]], first: list[int], bits: int
     """The (a, b) of the first (u, a, b) in ascending order with u in
     ``bits``, a + b = u and neither a nor b in ``bits``; None if there is none.
 
-    Read from the row fibers of ``FiniteSemigroup.sums``: for each member u,
-    the lowest non-member a whose row holds u (``first`` is
-    ``_first_factors``), then the lowest non-member b in its fiber of u.
+    Read from the row fibers of ``FiniteSemigroup.sums`` and their transpose
+    ``first``: for each member u, the lowest non-member a whose row holds u,
+    then the lowest non-member b in its fiber of u.
     """
     for u in iter_bits(bits):
         for a in iter_bits(first[u] & ~bits):
@@ -710,7 +695,7 @@ def smallest_prime_subset(
     if size_cap < 2:
         return None, size_cap
     row_fibers = sg.sums.row_fibers
-    first = _first_factors(sg)
+    first = transpose_bits(enumerate(row_fibers), m)
 
     best: list[tuple[int, ...]] = []
 

@@ -11,7 +11,9 @@ output, run ``PYTHONPATH=src python tests/test_cli.py``.
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,6 +61,32 @@ def test_build_csv_to_file(tmp_path, capsys):
     assert code == EXIT_OK and out == ""
     sg = import_table(target.read_text())
     assert sg.m == 29
+
+
+def test_build_csv_to_stdout_is_the_out_file(tmp_path, capsys):
+    target = tmp_path / "b.csv"
+    invoke(capsys, "build", "--n", "2", "--format", "csv", "--out", str(target))
+    code, out, _ = invoke(capsys, "build", "--n", "2", "--format", "csv")
+    assert code == EXIT_OK
+    assert out.encode() == target.read_bytes()
+
+
+def test_build_into_a_closed_pipe_exits_141():
+    # the reader closes stdout after 10 of the 1.4 MB of the n = 4 table; the
+    # exit status is a shell's for a process killed by SIGPIPE (128 + 13).
+    # Under PYTHONUNBUFFERED the text layer writes straight to the file
+    # descriptor and drops the unwritten tail of a partial write without an
+    # error, so the child runs with the default buffering
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    argv = [sys.executable, "-m", "brandt_ranks.cli", "build", "--n", "4"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(10) == b'{"n": 4, "'
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_build_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
@@ -239,6 +267,16 @@ def test_prime(capsys):
     code, out, _ = invoke(capsys, "prime", "--n", "2")
     assert code == EXIT_OK
     assert "xi(1,2)" in out and "r5 = 29" in out
+
+
+def test_prime_verbose_prints_the_witness_as_rank_does(capsys):
+    code, out, _ = invoke(capsys, "prime", "--n", "2", "-v")
+    assert code == EXIT_OK
+    _, quiet, _ = invoke(capsys, "prime", "--n", "2")
+    _, rank_out, _ = invoke(capsys, "rank", "--n", "2", "--which", "r5", "-v")
+    witness = rank_out.splitlines()[-1]
+    assert witness.startswith("  witness: xi(0) ")
+    assert out == f"{quiet}{witness}\n"
 
 
 def test_prime_keeps_its_budget(capsys):

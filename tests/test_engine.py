@@ -1079,6 +1079,18 @@ def test_independence_matches_oracle_on_every_subset(sg):
         assert is_independent(sg, members) == _independent_oracle(sg, members)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40).flatmap(
+    lambda m: st.lists(st.integers(0, (1 << m) - 1), min_size=m, max_size=m)))
+def test_transpose_bits_matches_the_double_loop(rows):
+    m = len(rows)
+    expected = [sum(1 << j for j in range(m) if rows[j] >> i & 1) for i in range(m)]
+    # members as lists, then as the generators the searches pass
+    out = engine.transpose_bits(((j, list(engine.iter_bits(r))) for j, r in enumerate(rows)), m)
+    assert out == expected
+    assert engine.transpose_bits(((i, engine.iter_bits(t)) for i, t in enumerate(out)), m) == rows
+
+
 # --- Green's relations ------------------------------------------------------------
 
 

@@ -736,7 +736,8 @@ def test_violated_pair_is_the_first_in_pair_order(ab2, ab3, data):
     pairs = _pairs_into_reference(sg.table.tolist(), sg.m)
     expected = next(((a, b) for u in engine.iter_bits(bits) for a, b in pairs[u]
                      if not bits >> a & 1 and not bits >> b & 1), None)
-    assert ranks._violated_pair(sg.sums.row_fibers, ranks._first_factors(sg), bits) == expected
+    first = engine.transpose_bits(enumerate(sg.sums.row_fibers), sg.m)
+    assert ranks._violated_pair(sg.sums.row_fibers, first, bits) == expected
 
 
 def test_large_rank_keeps_budget(ab3):
