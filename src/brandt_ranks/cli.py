@@ -122,7 +122,11 @@ def _cmd_build(args) -> int:
     text = engine.export_table(a_plus_semigroup(args.n), args.format)
     text = text if text.endswith("\n") else text + "\n"
     if args.out is None:
-        sys.stdout.write(text)
+        # counted bytes: unbuffered text stdout (python -u) drops a short write's tail
+        data = memoryview(text.encode("utf-8"))
+        sys.stdout.flush()
+        while data:
+            data = data[sys.stdout.buffer.write(data):]
         return EXIT_OK
     try:
         args.out.write_text(text, encoding="utf-8")

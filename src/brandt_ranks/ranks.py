@@ -377,8 +377,7 @@ def lower_rank_exact(
     sums = sg.sums
     m = sg.m
     full = (1 << m) - 1
-    lb, _family = first_factor_lower_bound(sg)
-    lb = max(lb, 1)
+    lb = first_factor_lower_bound(sg)[0]
 
     wit: tuple[int, ...] | None = None
     if witness is not None:
@@ -391,33 +390,32 @@ def lower_rank_exact(
     ind = sg.indecomposable_bits
     found = 0  # the generating set the sweep stopped at, as a bitmask
 
+    def stop(start: int, left: int) -> int:
+        # the end of the picks from ``start`` with ``left`` to go: a prefix
+        # never passes an indecomposable it lacks, so it holds every one below
+        # start, and a pick past the lowest one at or above start leaves it out
+        ahead = ind >> start
+        return min(m - left + 1, start + (ahead & -ahead).bit_length() if ahead else m)
+
     @functools.cache
     def visits(start: int, left: int) -> int:
         # the prefixes ``sweep(start, ..., left, ...)`` visits when nothing
-        # stops it, below a prefix holding every indecomposable under start
+        # stops it
         if not left:
             return 0
-        ahead = ind >> start
-        if not ahead:
+        if not ind >> start:
             # the d picks from [start, m) that extend to ``left`` picks, for
             # d = 1..left: the sum of C(m - start - left + d, d), which is
             # C(m - start + 1, left) - 1 (hockey-stick identity)
             return comb(m - start + 1, left) - 1
-        stop = min(m - left + 1, start + (ahead & -ahead).bit_length())
-        return sum(1 + visits(i + 1, left - 1) for i in range(start, stop))
+        return sum(1 + visits(i + 1, left - 1) for i in range(start, stop(start, left)))
 
     def sweep(start: int, bits: int, left: int, cbits: int) -> bool:
         # ``left`` more elements to pick after the prefix ``cbits``; False
         # stops the sweep: a prefix generates (kept in ``found``), or the
-        # budget ran out. Once i passes an indecomposable the prefix lacks,
-        # no extension can pick it up, so i goes no higher than the lowest
-        # one missing.
+        # budget ran out
         nonlocal found
-        missing = ind & ~cbits
-        stop = m - left + 1
-        if missing:
-            stop = min(stop, (missing & -missing).bit_length())
-        for i in range(start, stop):
+        for i in range(start, stop(start, left)):
             if not clock.spend():
                 return False
             nb = extend_closure(sums, bits, i)
@@ -551,7 +549,8 @@ def upper_rank_search(
     A new member x extends only the closures of the c in
     ``ideals[x] & chosen_bits``, each with c as the kernel's ``stop``: an
     extension that rejects x stops as soon as c joins, and it is discarded
-    with the rest of ``touched``, so no set cut short reaches ``minus_bits``.
+    with the copy of ``minus_bits`` it was written into, so no set cut short
+    reaches a child.
     The test "c in minus_bits[r]" stays exact, because a sum equal to c lies
     in the ideal of each of its terms, so c is generated by chosen minus c
     iff it is generated by the members in up(c); an untouched closure is
@@ -561,9 +560,9 @@ def upper_rank_search(
     chosen set, while the Python work of a node follows the members it
     reaches, not |chosen|.
 
-    Each include passes its child a copy of ``minus_bits`` with the touched
-    ranks replaced, and the new closure and bitmask of the chosen set, so
-    the way back restores nothing.
+    The extensions for x read the parent's ``minus_bits`` and write a copy
+    of it; an include passes its child that copy, and the new closure and
+    bitmask of the chosen set, so the way back restores nothing.
 
     An include is lazy: the child of x is bounded by |chosen| + 1 plus its
     candidates before it is built, first on ``cand & comp[x]`` (a superset
@@ -617,14 +616,13 @@ def upper_rank_search(
 
             # x is no factor of any sum equal to a c outside its ideal
             reach = ideals[x] & chosen_bits
-            touched: list[tuple[int, int]] = []  # (r, new closure)
+            new_minus = minus_bits[:]  # the child's closures; dropped if x is rejected
             while reach:
                 low = reach & -reach
                 reach ^= low
                 c = low.bit_length() - 1
                 r = (chosen_bits & (low - 1)).bit_count()
-                nb = extend_closure(sums, minus_bits[r], x, c)
-                touched.append((r, nb))
+                new_minus[r] = nb = extend_closure(sums, minus_bits[r], x, c)
                 if nb >> c & 1:
                     break
             else:  # no chosen member is generated by the others with x
@@ -632,9 +630,6 @@ def upper_rank_search(
                 rest &= ~new_all
                 if size + 1 + rest.bit_count() <= best_size:
                     continue
-                new_minus = minus_bits[:]
-                for r, nb in touched:
-                    new_minus[r] = nb
                 # x's own leave-one-out closure is the closure of chosen
                 new_minus.append(all_bits)
                 rec(rest, new_minus, new_all, chosen_bits | 1 << x)
@@ -670,57 +665,58 @@ def _violated_pair(row_fibers: list[dict[int, int]], first: list[int], bits: int
     return None
 
 
-def smallest_prime_subset(
-    sg: FiniteSemigroup, size_cap: int, clock: _Clock
-) -> tuple[tuple[int, ...] | None, int]:
-    """Smallest nonempty proper prime subset of size <= size_cap, and a proven size.
+def smallest_prime_subset(sg: FiniteSemigroup, clock: _Clock) -> tuple[tuple[int, ...] | None, int]:
+    """Smallest nonempty proper prime subset of size <= min(6, m - 1), and a proven size.
 
     Returns (subset, k): no proper prime subset has k or fewer elements, and
-    subset is a smallest one (then k = |subset| - 1) or None (then k is
-    size_cap, or less if the budget ran out first). ``sg`` has at least two
+    subset is a smallest one (then k = |subset| - 1) or None (then k is the
+    cap, or less if the budget ran out first). ``sg`` has at least two
     elements (``large_rank_exact`` answers m = 1 itself), and the search
-    spends ``clock``, the clock of the rank routine that calls it.
+    spends ``clock``, the clock of the rank routine that calls it. The cap
+    admits the prime subset V of n - 1 elements of A+(B_n) for every n whose
+    table can be built (n <= 5, ``affine.check_table_n``).
 
-    Size 1 reduces to indecomposable elements. Beyond that, every prime set
-    containing a chosen seed must hit every two-term decomposition of each
-    member, so branching on the two factors of a violated decomposition
-    enumerates all minimal candidates, one budget node per branch (on the
-    decomposition ``_violated_pair`` picks). The caps 2, 3, ... are
-    searched in turn, so a level that completes proves its size.
+    Size 1 reduces to indecomposable elements, and a 2-element semigroup has
+    one (if x = y + y and y = x + x, then x + y = y + x, and either value of
+    that sum forces x = y). Beyond that, every prime set containing a chosen
+    seed must hit every two-term decomposition of each member, so branching
+    on the two factors of a violated decomposition enumerates all minimal
+    candidates, one budget node per branch (on the decomposition
+    ``_violated_pair`` picks). The caps 2, 3, ... are searched in turn, so a
+    level that completes proves its size. Each level walks the branches of
+    the one before it, one member further, so a set found below a level's
+    cap was found a level earlier: every set the first level to find one
+    finds has that level's size, which is at most m - 1.
     """
     m = sg.m
     ind = engine.indecomposables(sg)
     if ind:
         return ind[:1], 0
-    if size_cap < 2:
-        return None, size_cap
+    size_cap = min(6, m - 1)
     row_fibers = sg.sums.row_fibers
     first = transpose_bits(enumerate(row_fibers), m)
 
     best: list[tuple[int, ...]] = []
 
-    def rec(bits: int, size: int, cap: int) -> bool:
+    def rec(bits: int, cap: int) -> bool:
         # False once the budget is gone
         if not clock.spend():
             return False
         v = _violated_pair(row_fibers, first, bits)
         if v is None:
-            cand = tuple(iter_bits(bits))
-            if len(cand) < m:
-                best.append(cand)
+            best.append(tuple(iter_bits(bits)))
             return True
-        if size >= cap:
+        if bits.bit_count() >= cap:
             return True
         a, b = v
-        return rec(bits | 1 << a, size + 1, cap) and rec(bits | 1 << b, size + 1, cap)
+        return rec(bits | 1 << a, cap) and rec(bits | 1 << b, cap)
 
     for cap in range(2, size_cap + 1):
         for u in range(m):
-            if not rec(1 << u, 1, cap):
+            if not rec(1 << u, cap):
                 return None, cap - 1
         if best:
-            best.sort(key=lambda t: (len(t), t))
-            return best[0], cap - 1
+            return min(best), cap - 1
     return None, size_cap
 
 
@@ -730,22 +726,19 @@ def large_rank_exact(sg: FiniteSemigroup, budget: SearchBudget | None = None) ->
     The complement of a smallest proper prime subset is a largest proper
     subsemigroup, and forcing generation needs one more element than its
     size. An indecomposable element forms a singleton prime subset, so its
-    presence gives r5 = m immediately. The search stops at a size cap of
-    min(6, m - 1) for every table; A+(B_n) has the prime subset V of n - 1
-    elements, which the cap admits for every n whose table can be built
-    (n <= 5, ``affine.check_table_n``). If no prime subset exists up to the
-    cap, or the budget runs out first, a bounds-only result notes the
-    largest size the search has excluded.
+    presence gives r5 = m immediately. ``smallest_prime_subset`` searches up
+    to its own size cap. If it finds no prime subset, because none exists up
+    to the cap or because the budget ran out first, a bounds-only result
+    notes the largest size the search has excluded.
     """
     clock = _Clock(budget)
     m = sg.m
     if m == 1:
         return _rank(sg, clock, value=1, detail="one-element semigroup")
-    cap = min(6, m - 1)
-    prime, proven = smallest_prime_subset(sg, cap, clock)
+    prime, proven = smallest_prime_subset(sg, clock)
     if prime is None:
         detail = f"no proper prime subset of size <= {proven}"
-        if proven < cap:
+        if not clock.ok:
             detail = f"budget exhausted; {detail}"
         return _rank(sg, clock, bounds=(2, m - proven), provenance=PROV_BOUNDS, detail=detail)
     # prime iff the complement is closed: the witness is a subsemigroup

@@ -197,9 +197,9 @@ def verify_all(n: int, budget: SearchBudget | None = None) -> VerificationReport
         )
         return passed
 
-    def remaining(min_seconds: float = 0.001) -> SearchBudget:
+    def remaining() -> SearchBudget:
         return SearchBudget(
-            seconds=max(deadline - time.monotonic(), min_seconds),
+            seconds=max(deadline - time.monotonic(), 0.001),
             node_limit=budget.node_limit,
         )
 
@@ -311,12 +311,11 @@ def verify_all(n: int, budget: SearchBudget | None = None) -> VerificationReport
     check_closed_form("r5", lambda rv: f"r5 = {rv.value} ({rv.detail})")
 
     def check_r4() -> str:
-        if 3 <= n <= 5:  # the open search is left to search-r4
-            rv = rank_formulas(n).ranks["r4"]
-            rv.detail = "independent-set construction vs stratified cap"
-            ranks.ranks["r4"] = rv
-            return f"r4 in [{rv.lower}, {rv.upper}]"
         formula = formulas.ranks["r4"]
+        if 3 <= n <= 5:  # the open search is left to search-r4
+            formula.detail = "independent-set construction vs stratified cap"
+            ranks.ranks["r4"] = formula
+            return f"r4 in [{formula.lower}, {formula.upper}]"
         rv = plan_rank(n, "r4", remaining())
         ranks.ranks["r4"] = rv
         if formula.exact:  # searched at n = 1

@@ -175,7 +175,7 @@ def test_criterion_8_large_rank(ab2, ab3):
         assert "xi(1,2)" in rv2.detail  # the singleton prime subset found
         rv3 = large_rank_exact(ab3)
         assert rv3.value == 144 == factorial(3) * 9 + 9 + 81 - 3 + 3
-        assert len(smallest_prime_subset(ab3, 3, _Clock())[0]) == 2
+        assert len(smallest_prime_subset(ab3, _Clock())[0]) == 2
         assert len(engine.indecomposables(ab3)) == 0
     _report(8, t.elapsed < 120.0,
             f"r5 = 29 (prime {{xi(1,2)}}) and 144 (prime pair); no indecomposables at n=3; {t.elapsed:.1f}s")

@@ -71,13 +71,16 @@ def test_build_csv_to_stdout_is_the_out_file(tmp_path, capsys):
     assert out.encode() == target.read_bytes()
 
 
-def test_build_into_a_closed_pipe_exits_141():
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_build_into_a_closed_pipe_exits_141(unbuffered):
     # the reader closes stdout after 10 of the 1.4 MB of the n = 4 table; the
     # exit status is a shell's for a process killed by SIGPIPE (128 + 13).
     # Under PYTHONUNBUFFERED the text layer writes straight to the file
     # descriptor and drops the unwritten tail of a partial write without an
-    # error, so the child runs with the default buffering
+    # error, so the child runs with the variable unset and with it set
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
     argv = [sys.executable, "-m", "brandt_ranks.cli", "build", "--n", "4"]
@@ -289,6 +292,12 @@ def test_prime_keeps_its_budget(capsys):
     assert r5["detail"] == "budget exhausted; no proper prime subset of size <= 1"
 
 
+def test_prime_text_reports_the_budget_cut(capsys):
+    code, out, _ = invoke(capsys, "prime", "--n", "3", "--node-limit", "1")
+    assert code == EXIT_BUDGET
+    assert out == "r5 in [2, 144] (budget exhausted; no proper prime subset of size <= 1)\n"
+
+
 def test_rank_r2_sweeps_when_the_pruned_sweep_fits_the_node_limit(capsys):
     # the exhaustive n = 2 sweep takes 3,283 nodes, far below the limit
     argv = ("rank", "--n", "2", "--which", "r2", "--node-limit", "100000", "--format", "json")
@@ -304,6 +313,17 @@ def test_invalid_arguments(capsys):
     assert invoke(capsys, "count")[0] == EXIT_USAGE
     assert invoke(capsys, "rank", "--n", "2", "--which", "r4")[0] == EXIT_USAGE
     assert invoke(capsys, "nonsense")[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("count", "--n", "abc"), "--n"),
+    (("rank", "--n", "2", "--which", "r2", "--node-limit", "1.5"), "--node-limit"),
+    (("rank", "--n", "2", "--which", "r2", "--budget", "abc"), "--budget"),
+])
+def test_an_argument_that_is_not_a_number_is_a_usage_error(capsys, argv, option):
+    code, _, err = invoke(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert option in err
 
 
 @pytest.mark.parametrize("seconds", ["nan", "inf", "0"])

@@ -702,7 +702,7 @@ def test_large_rank_a_plus_b3(ab3):
 
 
 def test_smallest_prime_subset_n3_matches_naive_scan(ab3):
-    found, proven = smallest_prime_subset(ab3, 3, _Clock())
+    found, proven = smallest_prime_subset(ab3, _Clock())
     assert len(found) == 2 and proven == 1
     # naive oracle: no singleton is prime, some pair is
     assert all(not engine.is_prime_subset(ab3, [i]) for i in range(ab3.m))
@@ -747,7 +747,7 @@ def test_large_rank_keeps_budget(ab3):
     assert not rv.exact and rv.provenance == PROV_BOUNDS
     assert rv.bounds == (2, 144)
     assert rv.detail == "budget exhausted; no proper prime subset of size <= 1"
-    assert smallest_prime_subset(ab3, 3, _Clock(SearchBudget(node_limit=1))) == (None, 1)
+    assert smallest_prime_subset(ab3, _Clock(SearchBudget(node_limit=1))) == (None, 1)
     assert plan_rank(3, "r5", SearchBudget(node_limit=1)).bounds == (2, 144)
 
 
