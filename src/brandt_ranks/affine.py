@@ -8,11 +8,13 @@ of what f does, holds x f at the canonical B_n index of x. Equality of
 elements is field-wise; the brute-force oracles at the end work on plain
 value tables instead.
 
-Elements are ``NamedTuple`` records, so building, hashing and comparing
-them runs in C, as the table build's m * |G| sums and lookups need. The
-four shapes have 0, 1, 4 and 3 fields, so elements of different shapes
-never compare equal. Being tuples, ``ConstZero()`` is falsy: no code may
-test an element's truth value.
+Elements are ``NamedTuple`` records, so hashing and comparing them runs
+in C, and ``add_maps`` builds each sum in C too, through
+``tuple.__new__`` on a tuple of its fields rather than the Python-level
+``__new__`` that NamedTuple compiles: the table build makes m * |G| sums
+and lookups. The four shapes have 0, 1, 4 and 3 fields, so elements of
+different shapes never compare equal. Being tuples, ``ConstZero()`` is
+falsy: no code may test an element's truth value.
 """
 
 from __future__ import annotations
@@ -85,10 +87,12 @@ def add_maps(n: int, f: AffineMapElement, g: AffineMapElement) -> AffineMapEleme
     """Pointwise sum of two maps, in canonical form.
 
     The semigroup is closed over the four shapes, so the sum is one of them.
-    The case is looked up by the pair of operand shapes.
+    The case is looked up by operand type, ``_ADD_CASES[type(f)][type(g)]``,
+    and builds the record in C; an operand of no shape, a shape class
+    among them, raises InvalidParameterError.
     """
     try:
-        case = _ADD_CASES[type(f), type(g)]
+        case = _ADD_CASES[type(f)][type(g)]
     except KeyError:
         raise InvalidParameterError(f"cannot add {f!r} and {g!r}") from None
     h = case(f, g)
@@ -101,6 +105,13 @@ def add_maps(n: int, f: AffineMapElement, g: AffineMapElement) -> AffineMapEleme
 
 _N1_IDENTITY = NSupport(0, 0, (0,))
 
+# Each builds a record from a tuple of its fields in C. Unlike the
+# class's own ``__new__`` it does not check the field count, so every case
+# below passes exactly the class's fields.
+_const = partial(tuple.__new__, Const)
+_singleton = partial(tuple.__new__, Singleton)
+_nsupport = partial(tuple.__new__, NSupport)
+
 # One function per shape pair; supp(f+g) is contained in supp(f) & supp(g)
 # because the zero of B_n absorbs.
 
@@ -112,46 +123,46 @@ def _add_zero(f, g):
 def _add_const_const(f, g):
     a, b = f.c
     c, d = g.c
-    return Const((a, d)) if b == c else CONST_ZERO
+    return _const(((a, d),)) if b == c else CONST_ZERO
 
 
 def _add_const_singleton(f, g):
     a, b = f.c
-    return Singleton(g.k, g.l, a, g.q) if b == g.p else CONST_ZERO
+    return _singleton((g.k, g.l, a, g.q)) if b == g.p else CONST_ZERO
 
 
 def _add_singleton_const(f, g):
     a, b = g.c
-    return Singleton(f.k, f.l, f.p, b) if f.q == a else CONST_ZERO
+    return _singleton((f.k, f.l, f.p, b)) if f.q == a else CONST_ZERO
 
 
 def _add_const_nsupport(f, g):
     a, b = f.c
-    return Singleton(g.sigma.index(b), g.p, a, g.q)
+    return _singleton((g.sigma.index(b), g.p, a, g.q))
 
 
 def _add_nsupport_const(f, g):
     a, b = g.c
-    return NSupport(f.p, b, f.sigma) if f.q == a else CONST_ZERO
+    return _nsupport((f.p, b, f.sigma)) if f.q == a else CONST_ZERO
 
 
 def _add_singleton_singleton(f, g):
     if f.k == g.k and f.l == g.l and f.q == g.p:
-        return Singleton(f.k, f.l, f.p, g.q)
+        return _singleton((f.k, f.l, f.p, g.q))
     return CONST_ZERO
 
 
 def _add_singleton_nsupport(f, g):
     k = f.k
     if f.l == g.p and f.q == g.sigma[k]:
-        return Singleton(k, f.l, f.p, g.q)
+        return _singleton((k, f.l, f.p, g.q))
     return CONST_ZERO
 
 
 def _add_nsupport_singleton(f, g):
     k = g.k
     if g.l == f.p and f.q == g.p:
-        return Singleton(k, g.l, f.sigma[k], g.q)
+        return _singleton((k, g.l, f.sigma[k], g.q))
     return CONST_ZERO
 
 
@@ -160,24 +171,25 @@ def _add_nsupport_nsupport(f, g):
     if p != g.p:
         return CONST_ZERO
     i0 = g.sigma.index(f.q)
-    return Singleton(i0, p, f.sigma[i0], g.q)
+    return _singleton((i0, p, f.sigma[i0], g.q))
 
 
 _SHAPES = (ConstZero, Const, Singleton, NSupport)
-_ADD_CASES = {(s, t): _add_zero for s in _SHAPES for t in _SHAPES}
-_ADD_CASES.update(
-    {
-        (Const, Const): _add_const_const,
-        (Const, Singleton): _add_const_singleton,
-        (Singleton, Const): _add_singleton_const,
-        (Const, NSupport): _add_const_nsupport,
-        (NSupport, Const): _add_nsupport_const,
-        (Singleton, Singleton): _add_singleton_singleton,
-        (Singleton, NSupport): _add_singleton_nsupport,
-        (NSupport, Singleton): _add_nsupport_singleton,
-        (NSupport, NSupport): _add_nsupport_nsupport,
-    }
-)
+# keyed by the operand's type, not by an attribute read from it, which a
+# shape class itself would have too
+_ADD_CASES = {s: dict.fromkeys(_SHAPES, _add_zero) for s in _SHAPES}
+for (_s, _t), _case in {
+    (Const, Const): _add_const_const,
+    (Const, Singleton): _add_const_singleton,
+    (Singleton, Const): _add_singleton_const,
+    (Const, NSupport): _add_const_nsupport,
+    (NSupport, Const): _add_nsupport_const,
+    (Singleton, Singleton): _add_singleton_singleton,
+    (Singleton, NSupport): _add_singleton_nsupport,
+    (NSupport, Singleton): _add_nsupport_singleton,
+    (NSupport, NSupport): _add_nsupport_nsupport,
+}.items():
+    _ADD_CASES[_s][_t] = _case
 
 
 def a_plus_size(n: int) -> int:

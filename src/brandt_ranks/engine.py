@@ -698,8 +698,9 @@ def export_table(sg: FiniteSemigroup, fmt: Literal["json", "csv"] = "json") -> s
 def import_table(data: bytes | str) -> FiniteSemigroup:
     """Parse a JSON or CSV table file and validate it (incl. associativity).
 
-    Malformed input raises TableParseError, and a well-formed table that is
-    no semigroup raises TableValidationError.
+    Malformed input raises TableParseError, an ``n`` that FiniteSemigroup
+    refuses among it, and a well-formed table that is no semigroup raises
+    TableValidationError.
     """
     if isinstance(data, bytes):
         try:
@@ -719,16 +720,16 @@ def import_table(data: bytes | str) -> FiniteSemigroup:
             raise TableParseError("JSON nested too deeply") from None
         if not isinstance(payload, dict) or "labels" not in payload or "table" not in payload:
             raise TableParseError("JSON table needs 'labels' and 'table' keys")
-        n = payload.get("n")
-        if n is not None and (not isinstance(n, int) or isinstance(n, bool) or n < 1):
-            raise TableParseError("'n' must be null or a positive integer")
         labels, table = payload["labels"], payload["table"]
         if not isinstance(labels, list) or not isinstance(table, list):
             raise TableParseError("'labels' and 'table' must be lists")
         # numpy would read true and false as 1 and 0
         if _holds_bools(row for row in table if isinstance(row, list)):
             raise TableParseError("'table' entries must be integers, not true or false")
-        return FiniteSemigroup(labels, table, n=n)
+        try:
+            return FiniteSemigroup(labels, table, n=payload.get("n"))
+        except InvalidParameterError as exc:  # raised by __init__ only for ``n``
+            raise TableParseError(str(exc)) from None
     try:
         rows = [row for row in csv.reader(io.StringIO(text)) if row]
     except csv.Error as exc:

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brandt_ranks.affine import (
+    _ADD_CASES,
     CONST_ZERO,
     Const,
+    ConstZero,
     NSupport,
     Singleton,
     a_plus_semigroup,
@@ -101,6 +103,36 @@ def test_add_rejects_a_non_element(bad):
     for f, g in ((bad, Const((0, 1))), (Const((0, 1)), bad), (bad, CONST_ZERO)):
         with pytest.raises(InvalidParameterError, match="cannot add"):
             add_maps(2, f, g)
+
+
+SHAPE_FIELDS = {ConstZero: 0, Const: 1, Singleton: 4, NSupport: 3}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sums_are_records_of_one_shape(n):
+    # the cases build records through tuple.__new__, which skips the
+    # NamedTuple arity check; ``_make`` makes it again
+    elems = enumerate_a_plus(n)
+    for f in elems:
+        for g in elems:
+            h = add_maps(n, f, g)
+            assert [s for s in SHAPE_FIELDS if isinstance(h, s)] == [type(h)]
+            assert len(h) == SHAPE_FIELDS[type(h)] == len(type(h)._fields)
+            rebuilt = type(h)._make(h)
+            assert rebuilt == h and hash(rebuilt) == hash(h) and repr(rebuilt) == repr(h)
+
+
+def test_add_cases_cover_every_shape_pair():
+    assert list(_ADD_CASES) == list(SHAPE_FIELDS)
+    assert all(list(cases) == list(SHAPE_FIELDS) for cases in _ADD_CASES.values())
+    assert sum(len(cases) for cases in _ADD_CASES.values()) == 16
+    # the 7 pairs with a zero constant share one case; the other 9 have their own
+    zero = _ADD_CASES[ConstZero][ConstZero]
+    cases = [_ADD_CASES[s][t] for s in SHAPE_FIELDS for t in SHAPE_FIELDS]
+    assert [s is ConstZero or t is ConstZero for s in SHAPE_FIELDS for t in SHAPE_FIELDS] == [
+        c is zero for c in cases
+    ]
+    assert len(set(cases)) == 10
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1277,6 +1277,19 @@ def test_import_rejects_bool_n():
         import_table('{"n": true, "labels": ["a"], "table": [[0]]}')
 
 
+@pytest.mark.parametrize("n", ["0", "-1", "1.5", '"2"', "true", "[1]"])
+def test_import_rejects_an_n_that_is_not_a_positive_integer(n):
+    # the rule is FiniteSemigroup's own, and its error becomes a parse error
+    with pytest.raises(TableParseError, match="^n "):
+        import_table(f'{{"n": {n}, "labels": ["a"], "table": [[0]]}}')
+
+
+def test_import_keeps_a_positive_or_null_n():
+    assert import_table('{"n": 2, "labels": ["a"], "table": [[0]]}').n == 2
+    assert import_table('{"n": null, "labels": ["a"], "table": [[0]]}').n is None
+    assert import_table('{"labels": ["a"], "table": [[0]]}').n is None
+
+
 @pytest.mark.parametrize(
     "labels, table",
     [('["a", "b"]', "[[0, true], [true, true]]"), ('["a", "b"]', "[[false, 1], [1, 1]]"),
