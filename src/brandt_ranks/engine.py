@@ -688,9 +688,10 @@ def export_table(sg: FiniteSemigroup, fmt: Literal["json", "csv"] = "json") -> s
         return json.dumps({"n": sg.n, "labels": list(sg.labels), "table": sg.table.tolist()})
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(sg.labels)
-        writer.writerows(sg.table.tolist())
+        # quoted, a label row that opens with "{" does not read back as JSON
+        quote = csv.QUOTE_ALL if sg.labels[0].lstrip().startswith("{") else csv.QUOTE_MINIMAL
+        csv.writer(buf, lineterminator="\n", quoting=quote).writerow(sg.labels)
+        csv.writer(buf, lineterminator="\n").writerows(sg.table.tolist())
         return buf.getvalue()
     raise InvalidParameterError(f"unknown format {fmt!r}")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb, factorial, isfinite
 from numbers import Real
 
@@ -99,7 +99,7 @@ class _Clock:
         return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class RankValue:
     """One rank: exact value or bounds, with provenance and witness."""
 
@@ -198,7 +198,7 @@ def rank_formulas(n: int) -> RankReport:
     report.ranks["r3"] = _rank(None, clock, value=n * f + 2 * n - 2)
     r4_lower = 14 if n == 2 else f * n * n + n
     if n >= 6:
-        report.ranks["r4"] = _rank(None, clock, value=f * n * n + n)
+        report.ranks["r4"] = _rank(None, clock, value=r4_lower)
     else:
         report.ranks["r4"] = _rank(None, clock, bounds=(r4_lower, kappa_upper_bound(n)),
                                    provenance=PROV_BOUNDS)
@@ -462,9 +462,12 @@ def intermediate_rank_verify(n: int, budget: SearchBudget | None = None) -> Rank
     maximality exhaustively over the stratified candidate space: independent
     generating sets carry no singleton maps, exactly n*n! n-support maps and
     between n and 2n-2 full-support constants, so all admissible candidates
-    (plus their zero-constant augmentations) are enumerated and checked, one
-    budget node per candidate. If the budget runs out first, the verified
-    witness still proves the lower bound, and the result is (witness size, m).
+    are enumerated and checked, one budget node per candidate. A candidate C
+    plus the zero constant xi(0) is never independent and generating: xi(0)
+    absorbs (``_add_zero``), so <C ∪ {xi(0)}> = <C> ∪ {xi(0)}, and if that is
+    all of A+(B_2), <C> holds xi(1,2) + xi(1,2) = xi(0), so C generates and
+    xi(0) depends on C. If the budget runs out first, the verified witness
+    still proves the lower bound, and the result is (witness size, m).
     n >= 6 is refused before the witness enumerates the elements.
     """
     check_table_n(n)
@@ -491,11 +494,6 @@ def intermediate_rank_verify(n: int, budget: SearchBudget | None = None) -> Rank
                 cand = fc + ns
                 if engine.is_generating(sg, cand) and engine.is_independent(sg, cand):
                     hits += 1
-                aug = (0,) + cand
-                if engine.is_generating(sg, aug) and engine.is_independent(sg, aug):
-                    raise WitnessVerificationError(
-                        "unexpected 7-element independent generating set"
-                    )
         if hits == 0:
             raise WitnessVerificationError("no stratified candidate verified")
         prov = PROV_SEARCH
@@ -504,21 +502,22 @@ def intermediate_rank_verify(n: int, budget: SearchBudget | None = None) -> Rank
 
 
 def intermediate_rank_bruteforce(sg: FiniteSemigroup, budget: SearchBudget | None = None) -> RankValue:
-    """Max size of an independent generating set by scanning all subsets (tiny m)."""
+    """Max size of an independent generating set by scanning all subsets (tiny m).
+
+    A finished scan finds one: a least generating set G is independent, as g
+    in <G minus g> would make G minus g generate."""
     if sg.m > 16:
         raise InvalidParameterError("brute-force intermediate rank is capped at m <= 16")
     clock = _Clock(budget)
-    best: tuple[int, ...] | None = None
+    best: tuple[int, ...] = ()
     for bits in range(1, 1 << sg.m):
         if not clock.spend():
             return _rank(sg, clock, bounds=(0, sg.m), provenance=PROV_BOUNDS)
         idx = tuple(iter_bits(bits))
-        if best is not None and len(idx) <= len(best):
+        if len(idx) <= len(best):
             continue
         if engine.is_generating(sg, idx) and engine.is_independent(sg, idx):
             best = idx
-    if best is None:
-        raise WitnessVerificationError("no independent generating set found")
     return _rank(sg, clock, value=len(best), provenance=PROV_SEARCH, witness=best)
 
 
@@ -564,13 +563,13 @@ def upper_rank_search(
     of it; an include passes its child that copy, and the new closure and
     bitmask of the chosen set, so the way back restores nothing.
 
-    An include is lazy: the child of x is bounded by |chosen| + 1 plus its
-    candidates before it is built, first on ``cand & comp[x]`` (a superset
-    of them) before x's test, then, once x is accepted, with the new
-    closure taken out. A child that fails would return at its first bound
-    check without spending a node, and as |chosen| + 1 <= best_size it
-    could not replace the incumbent; so it is skipped with its test and
-    closure, and the tree, the nodes and the result do not change.
+    An include is lazy: the child of x is bounded by |chosen| + 1 plus
+    ``cand & comp[x]``, a superset of its candidates, before x's test. A
+    child that fails would return at its first bound check without spending
+    a node, and as |chosen| + 1 <= best_size it could not replace the
+    incumbent; so it is skipped with its test and closure, and the tree,
+    the nodes and the result do not change. Once x is accepted, the child
+    makes that check itself on its exact candidates, so it is not repeated.
     """
     clock = _Clock(budget)
     sums, ideals = sg.sums, sg.ideals
@@ -608,8 +607,8 @@ def upper_rank_search(
                 return
             x = (cand & -cand).bit_length() - 1
             cand &= ~(1 << x)
-            # rest holds the candidates of x's child; a child that fails its
-            # bound would return before spending a node or replacing best
+            # rest: the candidates of x's child and those in x's new closure; a
+            # child that fails its bound would return before spending a node
             rest = cand & comp[x]
             if size + 1 + rest.bit_count() <= best_size:
                 continue
@@ -627,12 +626,9 @@ def upper_rank_search(
                     break
             else:  # no chosen member is generated by the others with x
                 new_all = extend_closure(sums, all_bits, x)
-                rest &= ~new_all
-                if size + 1 + rest.bit_count() <= best_size:
-                    continue
                 # x's own leave-one-out closure is the closure of chosen
                 new_minus.append(all_bits)
-                rec(rest, new_minus, new_all, chosen_bits | 1 << x)
+                rec(rest & ~new_all, new_minus, new_all, chosen_bits | 1 << x)
 
     rec(full_mask, [], 0, 0)
 
@@ -785,7 +781,7 @@ def plan_rank(n: int, key: str, budget: SearchBudget | None = None) -> RankValue
     if n == 1:
         return upper_rank_search(sg, budget)
     rv = upper_rank_search(sg, budget, seed=construct_witness(n, "P2" if n == 2 else "I"))
-    if not rv.exact:
-        rv.bounds = (max(rv.lower, formula.lower), min(rv.upper, formula.upper))
-        rv.detail = f"{rv.detail}; merged with construction/cap bounds"
-    return rv
+    if rv.exact:
+        return rv
+    return replace(rv, bounds=(max(rv.lower, formula.lower), min(rv.upper, formula.upper)),
+                   detail=f"{rv.detail}; merged with construction/cap bounds")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import factorial
 
 import numpy as np
@@ -313,7 +313,7 @@ def verify_all(n: int, budget: SearchBudget | None = None) -> VerificationReport
     def check_r4() -> str:
         formula = formulas.ranks["r4"]
         if 3 <= n <= 5:  # the open search is left to search-r4
-            formula.detail = "independent-set construction vs stratified cap"
+            formula = replace(formula, detail="independent-set construction vs stratified cap")
             ranks.ranks["r4"] = formula
             return f"r4 in [{formula.lower}, {formula.upper}]"
         rv = plan_rank(n, "r4", remaining())

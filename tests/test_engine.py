@@ -291,6 +291,17 @@ def test_from_elements_duplicates():
         FiniteSemigroup.from_elements([1, 1], lambda a, b: 1)
 
 
+def test_from_elements_refuses_an_empty_element_list():
+    with pytest.raises(InvalidParameterError, match=r"^element list must be nonempty$"):
+        FiniteSemigroup.from_elements([], lambda a, b: a)
+
+
+def test_index_of_refuses_an_unknown_label(b2):
+    assert b2.index_of(b2.labels[1]) == 1
+    with pytest.raises(InvalidParameterError, match=r"^unknown element label 'nope'$"):
+        b2.index_of("nope")
+
+
 def test_from_elements_checks_the_label_count_before_adding():
     def add(a, b):
         raise AssertionError("add_fn called")
@@ -1236,6 +1247,21 @@ def test_csv_round_trip(b2):
     assert sg.labels == b2.labels
     assert (sg.table == b2.table).all()
     assert export_table(sg, "csv") == text
+
+
+@pytest.mark.parametrize("first", ["{x", " {x", "{}", "\t{"])
+def test_csv_round_trips_a_first_label_that_opens_like_json(first):
+    sg = FiniteSemigroup([first, "b"], [[0, 0], [0, 1]])
+    text = export_table(sg, "csv")
+    back = import_table(text)
+    assert back.labels == sg.labels
+    assert (back.table == sg.table).all()
+    assert export_table(back, "csv") == text
+
+
+def test_export_refuses_an_unknown_format(b2):
+    with pytest.raises(InvalidParameterError, match=r"^unknown format 'xml'$"):
+        export_table(b2, "xml")
 
 
 def test_csv_quotes_comma_labels(ab2):

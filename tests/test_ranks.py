@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from test_engine import semigroup_or_none, small_tables
 
 from brandt_ranks import engine, ranks
-from brandt_ranks.affine import Const, ConstZero, add_maps, enumerate_a_plus, map_label
+from brandt_ranks.affine import Const, ConstZero, NSupport, add_maps, enumerate_a_plus, map_label
 from brandt_ranks.engine import FiniteSemigroup, closure_bits
 from brandt_ranks.errors import (
     InvalidParameterError,
@@ -133,7 +134,23 @@ def test_rank_value_validation():
         RankValue(value=3, bounds=(1, 2))
 
 
+def test_rank_values_are_frozen():
+    rv = plan_rank(2, "r4", SearchBudget(seconds=600, node_limit=50))
+    copy = dataclasses.replace(rv)
+    for name, value in (("value", 4), ("bounds", (1, 2)), ("elapsed_ms", 0.0), ("detail", "x")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rv, name, value)
+    assert rv == copy and rv.bounds == (14, 23)
+
+
 # --- witnesses -------------------------------------------------------------------
+
+
+def test_construct_witness_refuses_a_set_of_the_wrong_size(monkeypatch):
+    real = ranks._witness_elements
+    monkeypatch.setattr(ranks, "_witness_elements", lambda n, kind: real(n, kind)[1:])
+    with pytest.raises(WitnessVerificationError, match=r"^witness S has size 1, expected 2$"):
+        construct_witness(2, "S")
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -347,6 +364,13 @@ def test_lower_rank_deadline_mid_sweep_keeps_the_witness(ab2):
     assert set(rv.witness) == set(wit)
 
 
+def test_lower_rank_rechecks_the_set_it_found(ab1, monkeypatch):
+    monkeypatch.setattr(ranks, "closure_bits", lambda sums, bits: 0)
+    with pytest.raises(WitnessVerificationError,
+                       match=r"^minimum generating witness failed re-check$"):
+        lower_rank_exact(ab1, BIG)
+
+
 def test_lower_rank_rejects_non_generating_witness(ab2):
     with pytest.raises(WitnessVerificationError):
         lower_rank_exact(ab2, BIG, witness=[0, 1, 2])
@@ -474,8 +498,58 @@ def test_intermediate_rank_n2_keeps_budget(ab2):
     assert not plan_rank(2, "r3", SearchBudget(node_limit=1)).exact
 
 
+def test_intermediate_rank_refuses_a_witness_that_fails_its_check(monkeypatch):
+    monkeypatch.setattr(engine, "is_independent", lambda sg, subset: False)
+    with pytest.raises(WitnessVerificationError,
+                       match=r"^independent generating witness is not independent$"):
+        intermediate_rank_verify(2, BIG)
+    monkeypatch.setattr(engine, "is_generating", lambda sg, subset: False)
+    with pytest.raises(WitnessVerificationError,
+                       match=r"^independent generating witness does not generate$"):
+        intermediate_rank_verify(2, BIG)
+
+
+def test_intermediate_rank_n2_refuses_a_scan_with_no_hit(monkeypatch):
+    # the witness passes its own check, and then no candidate generates
+    answers = iter([True])
+    monkeypatch.setattr(engine, "is_generating", lambda sg, subset: next(answers, False))
+    with pytest.raises(WitnessVerificationError, match=r"^no stratified candidate verified$"):
+        intermediate_rank_verify(2, BIG)
+
+
+def test_zero_constant_never_completes_a_stratified_candidate(ab2):
+    # the n = 2 confirmation skips C + xi(0): xi(0) absorbs, so its closure is
+    # <C> + xi(0), it generates iff C does, and then xi(0) is in <C>
+    elems = enumerate_a_plus(2)
+    assert isinstance(elems[0], ConstZero)
+    full = [i for i, e in enumerate(elems) if isinstance(e, Const)]
+    nsup = [i for i, e in enumerate(elems) if isinstance(e, NSupport)]
+    cands = [fc + ns for fc in itertools.combinations(full, 2)
+             for ns in itertools.combinations(nsup, 4)]
+    assert len(cands) == 420
+    generating = 0
+    for cand in cands:
+        aug = (0,) + cand
+        assert closure_bits(ab2.sums, engine._coerce_bits(ab2, aug)) == (
+            closure_bits(ab2.sums, engine._coerce_bits(ab2, cand)) | 1)
+        assert engine.is_generating(ab2, aug) == engine.is_generating(ab2, cand)
+        if engine.is_generating(ab2, aug):
+            generating += 1
+            assert not engine.is_independent(ab2, aug)
+    assert generating >= 16  # the confirmation's maximal candidates among them
+
+
 def test_intermediate_rank_bruteforce_b1(ab1):
     assert intermediate_rank_bruteforce(ab1, BIG).value == 3
+
+
+def test_intermediate_rank_bruteforce_refuses_more_than_16_elements():
+    z17 = FiniteSemigroup(
+        [str(i) for i in range(17)], [[(i + j) % 17 for j in range(17)] for i in range(17)]
+    )
+    with pytest.raises(InvalidParameterError,
+                       match=r"^brute-force intermediate rank is capped at m <= 16$"):
+        intermediate_rank_bruteforce(z17, BIG)
 
 
 def test_intermediate_rank_rejects_n1():
@@ -643,6 +717,13 @@ def test_upper_rank_rechecks_a_set_the_search_found(ab2, monkeypatch):
     assert [set(c[1]) for c in calls] == [set(rv.witness)]
 
 
+def test_upper_rank_refuses_a_found_set_that_fails_its_recheck(ab1, monkeypatch):
+    monkeypatch.setattr(engine, "is_independent", lambda sg, subset: False)
+    with pytest.raises(WitnessVerificationError,
+                       match=r"^maximum independent witness failed re-check$"):
+        upper_rank_search(ab1, BIG)
+
+
 def test_plan_rank_r4_n2_merges_an_unfinished_search(ab2):
     rv = plan_rank(2, "r4", SearchBudget(seconds=600, node_limit=50))
     assert rv.bounds == (14, 23)
@@ -806,8 +887,8 @@ def test_rank_routines_ignore_the_n_tag(ab3, b2, b3):
         assert sg.n is not None and plain.n is None
         for routine, budget in ((small_rank, BIG), (lower_rank_exact, small),
                                 (upper_rank_search, small), (large_rank_exact, BIG)):
-            got, want = routine(sg, budget), routine(plain, budget)
-            got.elapsed_ms = want.elapsed_ms = 0.0
+            got, want = (dataclasses.replace(routine(t, budget), elapsed_ms=0.0)
+                         for t in (sg, plain))
             assert got == want, (sg, routine.__name__)
     assert large_rank_exact(FiniteSemigroup(ab3.labels, ab3.table, n=1)).value == 144
 
